@@ -23,7 +23,7 @@ import gc
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,20 +116,19 @@ class ResultsTable:
 
 @dataclass(frozen=True)
 class ThroughputReport:
+    """Median per-prompt rates of each arm, and the overheads taken from the
+    median of the paired per-prompt variant/baseline rate ratios (see
+    `throughput_bench`).  Both medians run over all runs x prompts; the
+    overhead is not 1 - variant/baseline of the printed rates."""
+
     baseline_label: str
     variant_label: str
     baseline_input_rate: float
     baseline_output_rate: float
     variant_input_rate: float
     variant_output_rate: float
-
-    @property
-    def input_overhead_pct(self) -> float:
-        return 100.0 * (self.baseline_input_rate - self.variant_input_rate) / self.baseline_input_rate
-
-    @property
-    def output_overhead_pct(self) -> float:
-        return 100.0 * (self.baseline_output_rate - self.variant_output_rate) / self.baseline_output_rate
+    input_overhead_pct: float
+    output_overhead_pct: float
 
     def format_table(self) -> str:
         lines = [
@@ -137,6 +136,7 @@ class ThroughputReport:
             f"{self.baseline_label:<12} {self.baseline_input_rate:>12.2f} {self.baseline_output_rate:>13.2f}",
             f"{self.variant_label:<12} {self.variant_input_rate:>12.2f} {self.variant_output_rate:>13.2f}",
             f"{'Overhead':<12} {self.input_overhead_pct:>11.2f}% {self.output_overhead_pct:>12.2f}%",
+            "(rates: median per prompt; overhead: 1 - median paired per-prompt rate ratio)",
         ]
         return "\n".join(lines)
 
@@ -181,16 +181,7 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
             reference = greedy_decode(model, prompt, budget, cfg.stop_tokens)
             if _ref_cache is not None:
                 _ref_cache[prompt] = reference
-        run_cfg = GenConfig(
-            mix=cfg.mix,
-            sampler=cfg.sampler,
-            max_tokens=budget,
-            stop_tokens=cfg.stop_tokens,
-            prior_source=cfg.prior_source,
-            special_passthrough=cfg.special_passthrough,
-            special_tokens=cfg.special_tokens,
-        )
-        result = generate(model, prompt, run_cfg)
+        result = generate(model, prompt, replace(cfg, max_tokens=budget))
         matches += int(result.tokens == reference)
     return matches / len(prompts)
 
@@ -430,31 +421,33 @@ def save_curve(curve: list[tuple[int, float]], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _timed_pass(model: Model, cfg: GenConfig, prompts, run: int) -> tuple[float, float]:
-    """(input, output) tokens/s for one pass over the prompt set."""
-    gc.collect()  # keep collector pauses out of the timed region
-    prompt_tokens = 0
-    generated = 0
-    prefill_s = 0.0
-    decode_s = 0.0
-    for prompt in prompts:
-        run_cfg = GenConfig(
-            mix=cfg.mix,
-            sampler=SamplerConfig(cfg.sampler.temperature, cfg.sampler.top_p, seed=run),
-            max_tokens=cfg.max_tokens,
-            stop_tokens=cfg.stop_tokens,
-            prior_source=cfg.prior_source,
-            special_passthrough=cfg.special_passthrough,
-            special_tokens=cfg.special_tokens,
-        )
-        result = generate(model, prompt, run_cfg)
-        prompt_tokens += result.prompt_tokens
-        generated += result.generated_tokens
-        prefill_s += result.prefill_seconds
-        decode_s += result.decode_seconds
-    if prompt_tokens == 0 or generated == 0 or prefill_s <= 0.0 or decode_s <= 0.0:
+def _timed_run(model: Model, cfgs, prompts, run: int) -> np.ndarray:
+    """Tokens and seconds of each config on each prompt, over one run of the
+    prompt set.
+
+    The configs take turns prompt by prompt, in an order that rotates with
+    the prompt and the run, so a slowdown burst hits every arm about
+    equally.  The garbage collector stays off while timing.  Returns an
+    array (len(prompts), len(cfgs), 4) of prompt tokens, generated tokens,
+    prefill seconds and decode seconds.
+    """
+    cfgs = [replace(cfg, sampler=replace(cfg.sampler, seed=run)) for cfg in cfgs]
+    counts = np.zeros((len(prompts), len(cfgs), 4))
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, prompt in enumerate(prompts):
+            for arm in np.roll(np.arange(len(cfgs)), run + i):
+                result = generate(model, prompt, cfgs[arm])
+                counts[i, arm] = (result.prompt_tokens, result.generated_tokens,
+                                  result.prefill_seconds, result.decode_seconds)
+    finally:
+        if was_enabled:
+            gc.enable()
+    if np.any(counts <= 0.0):
         raise ValueError("throughput run processed no tokens")
-    return prompt_tokens / prefill_s, generated / decode_s
+    return counts
 
 
 def throughput_bench(
@@ -467,44 +460,31 @@ def throughput_bench(
     baseline_label: str = "standard",
     variant_label: str | None = None,
 ) -> ThroughputReport:
-    """Average input/output rates over `runs` passes for both configs."""
+    """Input/output rates of both configs over `runs` runs of the prompt set.
+
+    Within each run the two configs alternate prompt by prompt, and each
+    (run, prompt) pair gives one variant/baseline rate ratio.  The
+    overheads come from the median of those runs x prompts ratios, so a
+    generate slowed by a burst of host load does not move them.  The
+    reported rates are each arm's median over the same runs x prompts.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     prompts = [tuple(int(t) for t in p) for p in prompts]
-    baseline_cfg = GenConfig(
-        mix=baseline_cfg.mix, sampler=baseline_cfg.sampler, max_tokens=budget,
-        stop_tokens=baseline_cfg.stop_tokens, prior_source=baseline_cfg.prior_source,
-        special_passthrough=baseline_cfg.special_passthrough, special_tokens=baseline_cfg.special_tokens,
-    )
-    variant_cfg = GenConfig(
-        mix=variant_cfg.mix, sampler=variant_cfg.sampler, max_tokens=budget,
-        stop_tokens=variant_cfg.stop_tokens, prior_source=variant_cfg.prior_source,
-        special_passthrough=variant_cfg.special_passthrough, special_tokens=variant_cfg.special_tokens,
-    )
-    # warm both paths (JIT compilation, allocator) before timing
-    _timed_pass(model, baseline_cfg, prompts, run=0)
-    _timed_pass(model, variant_cfg, prompts, run=0)
-
-    # interleave the two arms, alternating order, so clock drift and
-    # slowdown bursts hit both equally
-    base_rates = []
-    var_rates = []
-    for run in range(runs):
-        arms = [
-            (base_rates, baseline_cfg),
-            (var_rates, variant_cfg),
-        ]
-        if run % 2:
-            arms.reverse()
-        for sink, cfg in arms:
-            sink.append(_timed_pass(model, cfg, prompts, run))
-    base_in, base_out = (float(np.mean([r[i] for r in base_rates])) for i in (0, 1))
-    var_in, var_out = (float(np.mean([r[i] for r in var_rates])) for i in (0, 1))
+    cfgs = (replace(baseline_cfg, max_tokens=budget), replace(variant_cfg, max_tokens=budget))
+    _timed_run(model, cfgs, prompts, run=0)  # warm caches and the allocator
+    counts = np.array([_timed_run(model, cfgs, prompts, run) for run in range(runs)])
+    pair_rates = (counts[..., :2] / counts[..., 2:]).reshape(-1, 2, 2)
+    (base_in, base_out), (var_in, var_out) = np.median(pair_rates, axis=0)
+    ratios = pair_rates[:, 1] / pair_rates[:, 0]
+    in_ratio, out_ratio = np.median(ratios, axis=0)
     return ThroughputReport(
         baseline_label=baseline_label,
         variant_label=variant_label or variant_cfg.mix.mode,
-        baseline_input_rate=base_in,
-        baseline_output_rate=base_out,
-        variant_input_rate=var_in,
-        variant_output_rate=var_out,
+        baseline_input_rate=float(base_in),
+        baseline_output_rate=float(base_out),
+        variant_input_rate=float(var_in),
+        variant_output_rate=float(var_out),
+        input_overhead_pct=100.0 * (1.0 - float(in_ratio)),
+        output_overhead_pct=100.0 * (1.0 - float(out_ratio)),
     )

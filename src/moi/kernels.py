@@ -1,61 +1,39 @@
 """Hot numeric kernels: one transformer decode step and sparse row mixing.
 
-Two interchangeable backends:
-
-* ``numba`` (default when importable): explicit loops under ``@njit`` with
-  fastmath off, so the summation order written here is the order executed.
-* ``numpy``: vectorized fallback, selected by setting the environment
-  variable ``MOI_NUMBA=0`` before import (or when numba is missing).
-
-Both backends compute in float64 and agree to ~1e-12 relative; each is
-bit-deterministic run-to-run.  ``benchmarks/backend_bench.py`` times them
-against each other.
+One numpy backend, float64 throughout; repeated runs are bit-identical.
 
 Kernel conventions: parameter stacks carry the layer index first
-(e.g. ``w_att`` is (layers, d, 3d)); caches are (layers, context, d) and
-are written in-place at the current position; attention softmax and
-layer-norm use max-subtraction / a fixed 1e-5 epsilon.
+(e.g. ``w_att`` is (layers, d, 3d)); the KV caches are head-major,
+(layers, heads, context, head_dim), and are written in place at the
+current position, so each head's cached keys and values are contiguous
+and attention is two batched matmuls over the heads.  Attention softmax
+and layer norm use max subtraction and a fixed 1e-5 epsilon.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 
 import numpy as np
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via MOI_NUMBA=0 runs
-    HAS_NUMBA = False
-
-NUMBA_ENABLED = HAS_NUMBA and os.environ.get("MOI_NUMBA", "1") != "0"
-if not HAS_NUMBA and os.environ.get("MOI_NUMBA", "1") != "0":
-    warnings.warn("numba is not installed - falling back to the numpy backend")
 
 LN_EPS = 1e-5
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
 def _layer_norm_np(x, gain, bias):
-    mean = x.mean()
-    var = ((x - mean) ** 2).mean()
-    return gain * ((x - mean) / math.sqrt(var + LN_EPS)) + bias
+    # np.add.reduce(x) / d is what x.mean() computes, without its wrapper
+    d = x.shape[0]
+    mean = np.add.reduce(x) / d
+    diff = x - mean
+    var = np.add.reduce(diff * diff) / d
+    return gain * (diff / math.sqrt(var + LN_EPS)) + bias
 
 
 def _gelu_np(x):
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x * x * x)))
 
 
-def decode_step_np(
+def decode_step(
     x,
     pos,
     pos_emb,
@@ -78,6 +56,11 @@ def decode_step_np(
     k_cache,
     v_cache,
 ):
+    """Feed `x` at position `pos`; return next-token logits.
+
+    Writes this position's keys and values into the head-major caches
+    `k_cache` and `v_cache` (layers, heads, context, head_dim).
+    """
     layers, _, d = w_proj.shape
     head_dim = d // n_heads
     scale = 1.0 / math.sqrt(head_dim)
@@ -86,18 +69,15 @@ def decode_step_np(
     for layer in range(layers):
         normed = _layer_norm_np(h, ln1_g[layer], ln1_b[layer])
         qkv = normed @ w_att[layer] + b_att[layer]
-        q = qkv[:d]
-        k_cache[layer, pos, :] = qkv[d : 2 * d]
-        v_cache[layer, pos, :] = qkv[2 * d :]
+        q = qkv[:d].reshape(n_heads, head_dim, 1)
+        k_cache[layer, :, pos] = qkv[d : 2 * d].reshape(n_heads, head_dim)
+        v_cache[layer, :, pos] = qkv[2 * d :].reshape(n_heads, head_dim)
 
-        q_h = q.reshape(n_heads, head_dim)
-        k_h = k_cache[layer, : pos + 1].reshape(pos + 1, n_heads, head_dim)
-        v_h = v_cache[layer, : pos + 1].reshape(pos + 1, n_heads, head_dim)
-        scores = np.einsum("hd,thd->ht", q_h, k_h) * scale
+        scores = (k_cache[layer, :, : pos + 1] @ q)[:, :, 0] * scale
         scores -= scores.max(axis=1, keepdims=True)
         att = np.exp(scores)
         att /= att.sum(axis=1, keepdims=True)
-        ctx = np.einsum("ht,thd->hd", att, v_h).reshape(d)
+        ctx = (att[:, None, :] @ v_cache[layer, :, : pos + 1]).reshape(d)
 
         h = h + ctx @ w_proj[layer] + b_proj[layer]
         normed = _layer_norm_np(h, ln2_g[layer], ln2_b[layer])
@@ -108,160 +88,11 @@ def decode_step_np(
     return tok_emb @ final
 
 
-def mix_rows_np(matrix, ids, weights):
+def mix_rows(matrix, ids, weights):
     """Convex combination of `matrix` rows, float64 accumulation."""
     return weights @ matrix[ids].astype(np.float64)
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _layer_norm_jit(x, gain, bias, out):
-        d = x.shape[0]
-        mean = 0.0
-        for i in range(d):
-            mean += x[i]
-        mean /= d
-        var = 0.0
-        for i in range(d):
-            diff = x[i] - mean
-            var += diff * diff
-        var /= d
-        inv = 1.0 / math.sqrt(var + LN_EPS)
-        for i in range(d):
-            out[i] = gain[i] * ((x[i] - mean) * inv) + bias[i]
-
-    @numba.njit(cache=True)
-    def _matvec_add_jit(x, w, bias, out):
-        # out = x @ w + bias, accumulated row-major so each output entry
-        # sums over the input index in ascending order
-        n_in, n_out = w.shape
-        for j in range(n_out):
-            out[j] = bias[j]
-        for i in range(n_in):
-            xi = x[i]
-            for j in range(n_out):
-                out[j] += xi * w[i, j]
-
-    @numba.njit(cache=True)
-    def decode_step_jit(
-        x,
-        pos,
-        pos_emb,
-        ln1_g,
-        ln1_b,
-        w_att,
-        b_att,
-        w_proj,
-        b_proj,
-        ln2_g,
-        ln2_b,
-        w_fc,
-        b_fc,
-        w_out,
-        b_out,
-        lnf_g,
-        lnf_b,
-        tok_emb,
-        n_heads,
-        k_cache,
-        v_cache,
-    ):
-        layers, _, d = w_proj.shape
-        d_inner = w_fc.shape[2]
-        vocab = tok_emb.shape[0]
-        head_dim = d // n_heads
-        scale = 1.0 / math.sqrt(head_dim)
-
-        h = np.empty(d)
-        for i in range(d):
-            h[i] = x[i] + pos_emb[pos, i]
-
-        normed = np.empty(d)
-        qkv = np.empty(3 * d)
-        ctx = np.empty(d)
-        proj = np.empty(d)
-        fc = np.empty(d_inner)
-        mlp = np.empty(d)
-        scores = np.empty(pos + 1)
-
-        for layer in range(layers):
-            _layer_norm_jit(h, ln1_g[layer], ln1_b[layer], normed)
-            _matvec_add_jit(normed, w_att[layer], b_att[layer], qkv)
-            for i in range(d):
-                k_cache[layer, pos, i] = qkv[d + i]
-                v_cache[layer, pos, i] = qkv[2 * d + i]
-
-            for head in range(n_heads):
-                off = head * head_dim
-                for t in range(pos + 1):
-                    s = 0.0
-                    for j in range(head_dim):
-                        s += qkv[off + j] * k_cache[layer, t, off + j]
-                    scores[t] = s * scale
-                m = scores[0]
-                for t in range(1, pos + 1):
-                    if scores[t] > m:
-                        m = scores[t]
-                z = 0.0
-                for t in range(pos + 1):
-                    scores[t] = math.exp(scores[t] - m)
-                    z += scores[t]
-                for j in range(head_dim):
-                    ctx[off + j] = 0.0
-                for t in range(pos + 1):
-                    a = scores[t] / z
-                    for j in range(head_dim):
-                        ctx[off + j] += a * v_cache[layer, t, off + j]
-
-            _matvec_add_jit(ctx, w_proj[layer], b_proj[layer], proj)
-            for i in range(d):
-                h[i] += proj[i]
-
-            _layer_norm_jit(h, ln2_g[layer], ln2_b[layer], normed)
-            _matvec_add_jit(normed, w_fc[layer], b_fc[layer], fc)
-            for i in range(d_inner):
-                v = fc[i]
-                fc[i] = 0.5 * v * (1.0 + math.tanh(_GELU_C * (v + 0.044715 * v * v * v)))
-            _matvec_add_jit(fc, w_out[layer], b_out[layer], mlp)
-            for i in range(d):
-                h[i] += mlp[i]
-
-        _layer_norm_jit(h, lnf_g, lnf_b, normed)
-        logits = np.empty(vocab)
-        for row in range(vocab):
-            s = 0.0
-            for i in range(d):
-                s += tok_emb[row, i] * normed[i]
-            logits[row] = s
-        return logits
-
-    @numba.njit(cache=True)
-    def mix_rows_jit(matrix, ids, weights):
-        d = matrix.shape[1]
-        out = np.zeros(d)
-        for k in range(ids.shape[0]):
-            w = weights[k]
-            row = ids[k]
-            for j in range(d):
-                out[j] += w * matrix[row, j]
-        return out
-
-
-if NUMBA_ENABLED:
-    decode_step = decode_step_jit
-    mix_rows = mix_rows_jit
-    BACKEND = "numba"
-else:
-    decode_step = decode_step_np
-    mix_rows = mix_rows_np
-    BACKEND = "numpy"
-
-
 def backend_name() -> str:
-    """Active kernel backend: "numba" or "numpy"."""
-    return BACKEND
+    """The kernel backend; always "numpy"."""
+    return "numpy"

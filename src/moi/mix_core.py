@@ -113,11 +113,13 @@ def check_probs(probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be a nonempty 1-D array")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probability vector contains non-finite entries")
-    if np.any(p < 0.0):
+    # any NaN or +-inf entry makes the sum non-finite (as do entries so
+    # large that the sum overflows, which no probability vector has)
+    total = float(np.add.reduce(p))
+    if not math.isfinite(total):
+        raise ValueError("probability vector contains non-finite entries or overflows")
+    if p.min() < 0.0:
         raise ValueError("probability vector contains negative entries")
-    total = float(np.sum(p))
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, expected 1 within {_SUM_TOL}")
     return p

@@ -262,12 +262,20 @@ def read_trace(path: str | Path) -> list[StepRecord]:
                 raise TraceFormatError(f"line {lineno}: bad record: {exc}") from exc
             if rec.mode not in mix_core.MODES:
                 raise TraceFormatError(f"line {lineno}: unknown mode {rec.mode!r}")
+            if support.ndim != 1:
+                raise TraceFormatError(f"line {lineno}: support must be a list of token ids")
             if probs.shape != support.shape or weights.shape != support.shape:
                 raise TraceFormatError(f"line {lineno}: probs/weights not aligned with support")
             if not (0.0 <= rec.entropy <= 1.0):
                 raise TraceFormatError(f"line {lineno}: H={rec.entropy} outside [0, 1]")
             if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
                 raise TraceFormatError(f"line {lineno}: weights must be finite and non-negative")
+            if np.any(support < 0):
+                raise TraceFormatError(f"line {lineno}: negative support id")
+            if len(set(support.tolist())) != support.size:
+                raise TraceFormatError(f"line {lineno}: duplicate support ids")
+            if not np.any(support == rec.token):
+                raise TraceFormatError(f"line {lineno}: token {rec.token} not in support")
             records.append(rec)
     return records
 
@@ -283,7 +291,8 @@ def replay_verify(
     The recorded `mode` must match `cfg.mix.mode`, except that "standard"
     records are always admissible (stop/special passthrough steps).  The
     trace schema does not carry the vocabulary size, so the entropy
-    normalizer's `vocab_size` is a parameter here.
+    normalizer's `vocab_size` is a parameter here; a support id outside
+    [0, vocab_size) raises TraceFormatError.
     """
     max_h = 0.0
     max_w = 0.0
@@ -293,6 +302,8 @@ def replay_verify(
             raise ValueError(
                 f"step {rec.step}: trace mode {rec.mode!r} incompatible with config mode {cfg.mix.mode!r}"
             )
+        if rec.support.size and (rec.support.min() < 0 or rec.support.max() >= vocab_size):
+            raise TraceFormatError(f"step {rec.step}: support ids outside vocabulary of size {vocab_size}")
         h = mix_core.normalized_entropy(rec.probs, vocab_size)
         if rec.mode == "standard":
             expected = mix_core.one_hot_weights(rec.token, vocab_size).to_dense(vocab_size)

@@ -10,6 +10,7 @@ reproducible from (logits, T, top_p, seed) alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("logits must be a nonempty 1-D array")
-    if not np.all(np.isfinite(z)):
+    # max propagates NaN and +inf, min catches -inf
+    if not (math.isfinite(z.max()) and math.isfinite(z.min())):
         raise ValueError("logits contain non-finite entries")
     z = z / temperature
     z = z - z.max()

@@ -9,9 +9,9 @@ token-embedding table.
 
 Models are random-seeded or loaded from a "TLM/1" weight file; there is
 no training path.  Parameters are stored float32; the forward pass runs
-in float64 (see kernels module for the backend and summation-order
-policy), so repeated runs are bit-identical and the two kernel backends
-agree far below float32 resolution.
+in float64 through the numpy kernels (see the kernels module), so
+repeated runs are bit-identical.  The KV cache is head-major,
+(layers, heads, context, head_dim).
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ _GAIN_TENSORS = frozenset({"ln1_g", "ln2_g", "lnf_g"})
 
 @dataclass
 class DecoderState:
-    """Per-session incremental cache: keys/values for processed positions."""
+    """Per-session incremental cache: keys/values for processed positions,
+    each (layers, heads, context, head_dim)."""
 
     k_cache: np.ndarray
     v_cache: np.ndarray
@@ -136,7 +137,7 @@ class Model:
 
     def new_state(self) -> DecoderState:
         cfg = self.config
-        shape = (cfg.layers, cfg.context, cfg.dim)
+        shape = (cfg.layers, cfg.heads, cfg.context, cfg.dim // cfg.heads)
         return DecoderState(k_cache=np.zeros(shape), v_cache=np.zeros(shape))
 
     def forward_step(self, state: DecoderState, input_vec: np.ndarray) -> np.ndarray:

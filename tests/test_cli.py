@@ -94,6 +94,22 @@ class TestGenerate:
         assert proc.returncode == 1
         assert "step 2" in proc.stdout
 
+    def test_replay_rejects_malformed_support(self, tmp_path):
+        # both lines replayed as passing while `-1` wrapped to the last
+        # vocabulary id and the later of two duplicate ids won
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(
+            '{"step":0,"token":255,"H":0.0,"support":[-1],"probs":[1.0],"weights":[1.0],"mode":"standard"}\n'
+            '{"step":1,"token":3,"H":0.0,"support":[3,3],"probs":[1.0,0.0],"weights":[0,1],"mode":"standard"}\n'
+        )
+        proc = run_cli("replay", "--trace", str(trace), "--mode", "standard")
+        assert proc.returncode == 1
+        assert "line 1: negative support id" in proc.stderr
+        trace.write_text(trace.read_text().split("\n", 1)[1])
+        proc = run_cli("replay", "--trace", str(trace), "--mode", "standard")
+        assert proc.returncode == 1
+        assert "line 1: duplicate support ids" in proc.stderr
+
 
 class TestGrid:
     def test_small_grid(self, model_file, tmp_path):

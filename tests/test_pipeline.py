@@ -1,5 +1,8 @@
 """Generation loop, step records, trace files, and replay verification."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,20 @@ class TestGenerate:
             assert got == base
 
 
+class TestGoldenTokens:
+    def test_default_model_tokens_unchanged(self, default_model):
+        golden = json.loads((Path(__file__).parent / "golden_tokens.json").read_text())
+        for case in golden["cases"]:
+            for mode, want in case["tokens"].items():
+                cfg = GenConfig(
+                    mix=MixConfig(mode, 1.0),
+                    sampler=SamplerConfig(0.8, 0.95, seed=case["seed"]),
+                    max_tokens=len(want),
+                )
+                got = generate(default_model, list(case["prompt"].encode()), cfg).tokens
+                assert got == want, (case["prompt"], mode)
+
+
 class TestTraceIO:
     def test_empty_result_empty_file(self, bench_model, tmp_path):
         res = generate(bench_model, list(b"a"), gen_cfg(max_tokens=1))
@@ -161,6 +178,10 @@ class TestTraceIO:
             '{"step":0,"token":1,"H":0.5,"support":[1],"probs":[1.0],"weights":[-1.0],"mode":"moi"}',
             '{"step":0,"token":1,"H":0.5,"support":[1],"probs":[1.0],"weights":[1.0],"mode":"nope"}',
             '{"token":1,"H":0.5,"support":[1],"probs":[1.0],"weights":[1.0],"mode":"moi"}',
+            '{"step":0,"token":255,"H":0.0,"support":[-1],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":3,"H":0.0,"support":[3,3],"probs":[1.0,0.0],"weights":[0,1],"mode":"standard"}',
+            '{"step":0,"token":2,"H":0.0,"support":[1],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":1,"H":0.0,"support":[[1]],"probs":[[1.0]],"weights":[[1.0]],"mode":"standard"}',
         ]
         for line in cases:
             path = tmp_path / "case.jsonl"
@@ -206,6 +227,13 @@ class TestReplayVerify:
         res = generate(bench_model, list(b"ab"), cfg)
         report = replay_verify(res.records, gen_cfg(mode="moi", beta=4.0), vocab_size=256)
         assert not report.passed
+
+    def test_support_id_outside_vocab_is_format_error(self):
+        for token in (4, -1):
+            rec = StepRecord(step=0, token=token, entropy=0.0, support=np.array([token]),
+                             probs=np.array([1.0]), weights=np.array([1.0]), mode="standard")
+            with pytest.raises(TraceFormatError, match="outside vocabulary of size 4"):
+                replay_verify([rec], gen_cfg(mode="standard"), vocab_size=4)
 
     def test_hand_written_worked_example(self, tmp_path):
         # the frozen V=4 oracle: p=(0.7,0.2,0.05,0.05), sampled 0, beta 1

@@ -1,8 +1,14 @@
 """Temperature scaling, nucleus truncation, and the seeded draw."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from moi.mix_core import check_probs
 from moi.sampler import (
     SamplerConfig,
     TruncatedDistribution,
@@ -137,3 +143,78 @@ class TestSamplerConfig:
             SamplerConfig(top_p=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(top_p=1.5)
+
+
+# ---------------------------------------------------------------------------
+# The fast checks accept and reject exactly what a plain predicate does
+# ---------------------------------------------------------------------------
+
+_SPECIALS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-300, -0.5, 1.0])
+
+
+def _reference_logits_ok(z) -> bool:
+    z = np.asarray(z, dtype=np.float64)
+    return z.ndim == 1 and z.size > 0 and all(math.isfinite(v) for v in z.tolist())
+
+
+def _reference_probs_ok(p) -> bool:
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        return False
+    values = p.tolist()
+    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+        return False
+    return abs(float(np.sum(p)) - 1.0) <= 1e-9
+
+
+def _accepts(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _logit_arrays(draw):
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6))
+    z = draw(hnp.arrays(np.float64, shape, elements=st.floats(-50.0, 50.0)))
+    if z.size and draw(st.booleans()):
+        z.flat[draw(st.integers(0, z.size - 1))] = draw(_SPECIALS)
+    return z
+
+
+@st.composite
+def _prob_arrays(draw):
+    """Mostly near-valid distributions, some with a special value planted
+    or the sum pushed just inside or outside the 1e-9 tolerance."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6))
+    raw = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    p = raw / raw.sum() if raw.sum() > 0 else raw
+    kind = draw(st.sampled_from(["as_is", "special", "shift"]))
+    if p.size and kind == "special":
+        p.flat[draw(st.integers(0, p.size - 1))] = draw(_SPECIALS)
+    elif p.size and kind == "shift":
+        p.flat[draw(st.integers(0, p.size - 1))] += draw(
+            st.sampled_from([-1e-3, -2e-9, -1.1e-9, -5e-10, 5e-10, 1.1e-9, 2e-9, 1e-3])
+        )
+    return p
+
+
+class TestChecksMatchReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_logit_arrays())
+    def test_apply_temperature(self, z):
+        assert _accepts(apply_temperature, z, 0.7) == _reference_logits_ok(z)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_prob_arrays())
+    def test_check_probs(self, p):
+        assert _accepts(check_probs, p) == _reference_probs_ok(p)
+
+    def test_named_cases(self):
+        for z in ([], [[0.0, 1.0]], [0.0, -math.inf], [math.nan, 1.0], [math.inf]):
+            assert not _accepts(apply_temperature, np.array(z), 1.0)
+        for p in ([], [[0.5, 0.5]], [1.5, -0.5], [math.nan, 1.0], [math.inf, 0.0],
+                  [0.5, 0.5 + 2e-9], [-0.0, 1.0]):
+            assert _accepts(check_probs, np.array(p)) == _reference_probs_ok(p)
