@@ -17,7 +17,17 @@ from .mix_core import (
     posterior_mix_weights,
     pseudo_counts,
 )
-from .pipeline import GenConfig, GenerationResult, StepRecord, generate, read_trace, replay_verify, write_trace
+from .pipeline import (
+    GenConfig,
+    GenerationResult,
+    Prefill,
+    StepRecord,
+    generate,
+    prefill,
+    read_trace,
+    replay_verify,
+    write_trace,
+)
 from .sampler import SamplerConfig, TruncatedDistribution, apply_temperature, make_rng, sample_categorical, top_p_truncate
 from .toy_lm import Model, ModelConfig, init_random, load_weights, save_weights
 
@@ -31,6 +41,7 @@ __all__ = [
     "MixingWeights",
     "Model",
     "ModelConfig",
+    "Prefill",
     "SamplerConfig",
     "StepRecord",
     "TruncatedDistribution",
@@ -47,6 +58,7 @@ __all__ = [
     "normalized_entropy",
     "one_hot_weights",
     "posterior_mix_weights",
+    "prefill",
     "pseudo_counts",
     "read_trace",
     "replay_verify",

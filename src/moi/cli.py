@@ -19,6 +19,8 @@ from .mix_core import MixConfig
 from .sampler import SamplerConfig
 
 _MODE_ALIASES = {"standard": "standard", "direct": "direct_mixture", "moi": "moi"}
+# environment variables that set the BLAS thread count; `moi bench` prints them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _seed_from_env(seed: int) -> int:
@@ -102,6 +104,13 @@ def cmd_grid(args) -> int:
     table = experiments.run_grid(spec, out_path=args.out, jobs=args.jobs, measure_rate=args.timing)
     failures = sum(1 for row in table.rows if math.isnan(row.score))
     print(f"wrote {args.out}: {len(table.rows)} rows, {failures} failed trials")
+    for index, error in table.errors.items():
+        row = table.rows[index]
+        print(
+            f"CSV line {index + 2} ({row.mode} beta={row.beta!r} top_p={row.top_p!r} "
+            f"temperature={row.temperature!r} seed={row.seed}): {error}",
+            file=sys.stderr,
+        )
     if failures and args.strict:
         return 1
     return 0
@@ -148,6 +157,8 @@ def cmd_bench(args) -> int:
         baseline_label="standard", variant_label=args.variant,
     )
     print(report.format_table())
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+    print(f"environment: {threads}, cpu_count={os.cpu_count()}")
     if args.out:
         payload = {
             "baseline": {

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .mix_core import MixConfig
-from .pipeline import GenConfig, generate
+from .pipeline import GenConfig, Prefill, check_prompt, generate, prefill, start_state
 from .sampler import SamplerConfig
 from .toy_lm import Model, load_weights
 
@@ -111,7 +111,11 @@ class TrialRow:
 
 @dataclass
 class ResultsTable:
+    """Grid rows in order, and the error of each failed trial as
+    "ExceptionType: message", keyed by row index (not part of the CSV)."""
+
     rows: list[TrialRow] = field(default_factory=list)
+    errors: dict[int, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -147,15 +151,18 @@ def trial_seed(base_seed: int, config_index: int, replicate_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def greedy_decode(model: Model, prompt, budget: int, stop_tokens=frozenset()) -> list[int]:
-    """Argmax decode with plain one-hot feedback; the reference sequence."""
+def greedy_decode(
+    model: Model, prompt, budget: int, stop_tokens=frozenset(), prefix: Prefill | None = None
+) -> list[int]:
+    """Argmax decode with plain one-hot feedback; the reference sequence.
+
+    With `prefix` (see `pipeline.prefill`) the prompt is not run again."""
     from .embedding import lookup
 
     table = model.embedding_table
-    state = model.new_state()
-    logits = None
-    for token in prompt:
-        logits = model.forward_step(state, lookup(table, int(token)))
+    prompt = check_prompt(model, prompt)
+    capacity = min(len(prompt) + max(budget - 1, 0), model.config.context)
+    state, logits = start_state(model, prompt, capacity, prefix)
     tokens: list[int] = []
     for step in range(budget):
         token = int(np.argmax(logits))
@@ -167,21 +174,29 @@ def greedy_decode(model: Model, prompt, budget: int, stop_tokens=frozenset()) ->
 
 
 def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _ref_cache=None) -> float:
-    """Fraction of prompts whose sampled sequence matches the greedy decode."""
+    """Fraction of prompts whose sampled sequence matches the greedy decode.
+
+    Each prompt is prefilled once; its greedy decode and its sampled
+    generation both start from that prefill.  `_ref_cache` (prompt ->
+    (reference, prefill)) carries both across calls with the same model,
+    budget and stop tokens, so a grid prefills each prompt once.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1: nothing to compare")
     prompts = [tuple(int(t) for t in p) for p in prompts]
     if not prompts:
         raise ValueError("prompt set must be nonempty")
+    cfg = replace(cfg, max_tokens=budget)
     matches = 0
     for prompt in prompts:
-        if _ref_cache is not None and prompt in _ref_cache:
-            reference = _ref_cache[prompt]
-        else:
-            reference = greedy_decode(model, prompt, budget, cfg.stop_tokens)
+        entry = None if _ref_cache is None else _ref_cache.get(prompt)
+        if entry is None:
+            start = prefill(model, prompt)
+            entry = (greedy_decode(model, prompt, budget, cfg.stop_tokens, prefix=start), start)
             if _ref_cache is not None:
-                _ref_cache[prompt] = reference
-        result = generate(model, prompt, replace(cfg, max_tokens=budget))
+                _ref_cache[prompt] = entry
+        reference, start = entry
+        result = generate(model, prompt, cfg, prefix=start)
         matches += int(result.tokens == reference)
     return matches / len(prompts)
 
@@ -219,9 +234,9 @@ def _run_one(model, task, cfg: GenConfig, ref_cache, measure_rate: bool):
             rate = generated / seconds if seconds > 0 else None
         else:
             rate = None
-        return _score_trial(model, task, cfg, ref_cache), rate
-    except Exception:
-        return math.nan, None
+        return _score_trial(model, task, cfg, ref_cache), rate, None
+    except Exception as exc:
+        return math.nan, None, f"{type(exc).__name__}: {exc}"
 
 
 def _trial_config(task: TaskSpec, mode: str, beta: float, top_p: float, temperature: float, seed: int) -> GenConfig:
@@ -244,7 +259,8 @@ def run_grid(
     Rows are produced in the fixed configs() x seeds order regardless of
     `jobs`, so reruns of the same spec write byte-identical CSVs (as long
     as rate measurement stays off).  A failing trial records score NaN
-    ("error" in the CSV) and the grid continues.
+    ("error" in the CSV), its error goes to the table's `errors`, and the
+    grid continues.
     """
     model = spec.task.resolve_model()
     trials = [
@@ -272,7 +288,9 @@ def run_grid(
 
     def emit(trial, outcome):
         (ci, ri, (mode, beta, top_p, temperature), seed) = trial
-        score, rate = outcome
+        score, rate, error = outcome
+        if error is not None:
+            table.errors[len(table.rows)] = error
         row = TrialRow(mode, beta, top_p, temperature, seed, score, rate)
         table.rows.append(row)
         if writer is not None:

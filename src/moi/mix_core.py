@@ -45,6 +45,16 @@ class MixConfig:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
 
+def built_valid(cls, **fields):
+    """An instance of the frozen dataclass `cls` without its __post_init__
+    checks, for values the caller has just validated or built valid by
+    construction (so each path validates once)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class PseudoCounts:
     """Single fractional observation on the sampled token.
@@ -133,9 +143,13 @@ def normalized_entropy(probs: np.ndarray, vocab_size: int) -> float:
     vocabulary, not the support size, so truncating a distribution cannot
     push the normalizer around.
     """
+    return _entropy(check_probs(probs), vocab_size)
+
+
+def _entropy(p: np.ndarray, vocab_size: int) -> float:
+    """normalized_entropy of an already validated float64 vector."""
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2 for the log V normalizer, got {vocab_size}")
-    p = check_probs(probs)
     nz = p[p > 0.0]
     h = -float(np.sum(nz * np.log(nz))) / math.log(vocab_size)
     return min(1.0, max(0.0, h))
@@ -195,7 +209,7 @@ def posterior_mix_weights(
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
 
-    h = normalized_entropy(p, vocab_size) if entropy is None else float(entropy)
+    h = _entropy(p, vocab_size) if entropy is None else float(entropy)
     if not (0.0 <= h <= 1.0):
         raise ValueError(f"entropy must lie in [0, 1], got {h}")
     denom = beta + 1.0
@@ -210,12 +224,17 @@ def posterior_mix_weights(
     total = float(np.sum(w))
     if abs(total - 1.0) > _RENORM_TOL:
         w = w / total
-    return MixingWeights(ids=out_ids, weights=w)
+    # non-negative (h <= 1 < beta + 1) and summing to 1: valid as built
+    return built_valid(MixingWeights, ids=out_ids, weights=w)
 
 
 def direct_mix_weights(ids: np.ndarray, probs: np.ndarray) -> MixingWeights:
     """Baseline: the distribution itself as weights, no posterior update."""
-    return MixingWeights(ids=np.asarray(ids, dtype=np.int64), weights=check_probs(probs))
+    ids = np.asarray(ids, dtype=np.int64)
+    p = check_probs(probs)
+    if ids.shape != p.shape:
+        raise ValueError("ids and weights must be aligned 1-D arrays")
+    return built_valid(MixingWeights, ids=ids, weights=p)
 
 
 def one_hot_weights(sampled: int, vocab_size: int) -> MixingWeights:
@@ -223,4 +242,4 @@ def one_hot_weights(sampled: int, vocab_size: int) -> MixingWeights:
     sampled = int(sampled)
     if not (0 <= sampled < vocab_size):
         raise IndexError(f"token {sampled} outside vocabulary of size {vocab_size}")
-    return MixingWeights(ids=np.array([sampled]), weights=np.array([1.0]))
+    return built_valid(MixingWeights, ids=np.array([sampled], dtype=np.int64), weights=np.array([1.0]))

@@ -7,6 +7,12 @@ verbatim as weights (direct_mixture), or the posterior-mean mixture
 (moi).  The emitted token sequence is always the sampled discrete tokens;
 only the fed-back representation changes.
 
+A prompt's prefill can be done once and shared: `prefill` runs it
+through the model, and `generate(..., prefix=...)` starts each of any
+number of generations from a copy of that state.  Every decoder state is
+sized to its request: prompt plus generated positions, less the last
+token, which is never fed back.
+
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
 from the recorded distributions alone: no model in the loop, so a trace
@@ -26,7 +32,7 @@ from . import kernels, mix_core
 from .embedding import lookup
 from .mix_core import MixConfig
 from .sampler import SamplerConfig, apply_temperature, make_rng, sample_position, top_p_truncate
-from .toy_lm import Model
+from .toy_lm import DecoderState, Model
 
 PRIOR_SOURCES = ("sampled_dist", "raw_softmax")
 
@@ -102,6 +108,64 @@ class ReplayReport:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class Prefill:
+    """A prompt already run through `model`: the decoder state after its
+    last position (sized to the prompt) and the logits for the first
+    generated token.  Generations fork `state` and never write to it, so
+    one Prefill can start any number of them."""
+
+    model: Model
+    prompt: tuple
+    state: DecoderState
+    logits: np.ndarray
+
+
+def check_prompt(model: Model, prompt) -> list[int]:
+    """`prompt` as a list of ints; ValueError if it is empty or holds an id
+    outside the vocabulary."""
+    prompt = [int(t) for t in prompt]
+    vocab = model.config.vocab
+    if not prompt:
+        raise ValueError("prompt must contain at least one token")
+    if any(t < 0 or t >= vocab for t in prompt):
+        raise ValueError(f"prompt token outside vocabulary of size {vocab}")
+    return prompt
+
+
+def _feed_prompt(model: Model, state, prompt: list[int]) -> np.ndarray:
+    """Feed the prompt's embedding rows; return the logits after the last."""
+    table = model.embedding_table
+    for token in prompt:
+        logits = model.forward_step(state, lookup(table, token))
+    return logits
+
+
+def prefill(model: Model, prompt) -> Prefill:
+    """Run `prompt` through `model` once, for generations to start from."""
+    prompt = check_prompt(model, prompt)
+    if len(prompt) > model.config.context:
+        raise ValueError(f"prompt ({len(prompt)}) exceeds model context {model.config.context}")
+    state = model.new_state(len(prompt))
+    logits = _feed_prompt(model, state, prompt)
+    return Prefill(model=model, prompt=tuple(prompt), state=state, logits=logits)
+
+
+def start_state(model: Model, prompt: list[int], capacity: int, prefix: Prefill | None = None):
+    """The decoder state after `prompt`, with room for `capacity`
+    positions, and the logits for the next token.  Without `prefix` the
+    prompt is run through the model; with it, `prefix` must come from the
+    same model object and the same prompt, and its state is forked."""
+    if prefix is None:
+        state = model.new_state(capacity)
+        return state, _feed_prompt(model, state, prompt)
+    if prefix.model is not model:
+        raise ValueError("prefix was prefilled by another model")
+    if prefix.prompt != tuple(prompt):
+        raise ValueError(f"prefix was prefilled for prompt {list(prefix.prompt)}, not {prompt}")
+    return prefix.state.fork(capacity), prefix.logits
+
+
 def _step_weights(cfg: GenConfig, probs, pos: int, token: int, entropy: float) -> tuple[np.ndarray, str]:
     """Support-aligned feedback weights plus the mode actually applied.
 
@@ -127,37 +191,35 @@ def _step_weights(cfg: GenConfig, probs, pos: int, token: int, entropy: float) -
     return weights, "moi"
 
 
-def generate(model: Model, prompt, cfg: GenConfig) -> GenerationResult:
+def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None) -> GenerationResult:
     """Run the decode loop: sample, weight, mix, feed back.
 
     `prompt` is a nonempty sequence of token ids; prompt positions are fed
     as plain embedding rows (mixing applies only to generated positions).
     Generation stops after `cfg.max_tokens` tokens or right after a stop
     token is emitted; a stop token is recorded but never fed back.
+
+    `prefix`, from `prefill(model, prompt)`, skips running the prompt: the
+    loop starts from a fork of its state and its logits, with the same
+    result as without it.  A prefix made by another model object or for
+    another prompt raises ValueError.  `prefill_seconds` covers the
+    allocation and the prompt run, or the fork.
     """
-    prompt = [int(t) for t in prompt]
+    prompt = check_prompt(model, prompt)
     vocab = model.config.vocab
-    if not prompt:
-        raise ValueError("prompt must contain at least one token")
-    if any(t < 0 or t >= vocab for t in prompt):
-        raise ValueError(f"prompt token outside vocabulary of size {vocab}")
     if len(prompt) + cfg.max_tokens > model.config.context:
         raise ValueError(
             f"prompt ({len(prompt)}) + max_tokens ({cfg.max_tokens}) exceeds "
             f"model context {model.config.context}"
         )
 
-    table = model.embedding_table
     rng = make_rng(cfg.sampler.seed)
-    state = model.new_state()
-
     t0 = time.perf_counter()
-    logits = None
-    for token in prompt:
-        logits = model.forward_step(state, lookup(table, token))
+    # the last generated token is never fed, so it needs no position
+    state, logits = start_state(model, prompt, len(prompt) + cfg.max_tokens - 1, prefix)
     prefill_seconds = time.perf_counter() - t0
 
-    matrix = table.matrix
+    matrix = model.embedding_table.matrix
     log_vocab = np.log(vocab)
     tokens: list[int] = []
     records: list[StepRecord] = []
@@ -266,6 +328,10 @@ def read_trace(path: str | Path) -> list[StepRecord]:
                 raise TraceFormatError(f"line {lineno}: support must be a list of token ids")
             if probs.shape != support.shape or weights.shape != support.shape:
                 raise TraceFormatError(f"line {lineno}: probs/weights not aligned with support")
+            try:
+                mix_core.check_probs(probs)
+            except ValueError as exc:
+                raise TraceFormatError(f"line {lineno}: probs: {exc}") from exc
             if not (0.0 <= rec.entropy <= 1.0):
                 raise TraceFormatError(f"line {lineno}: H={rec.entropy} outside [0, 1]")
             if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
@@ -311,7 +377,7 @@ def replay_verify(
             expected = mix_core.direct_mix_weights(rec.support, rec.probs).to_dense(vocab_size)
         else:
             expected = mix_core.posterior_mix_weights(
-                rec.support, rec.probs, rec.token, cfg.mix.beta, vocab_size
+                rec.support, rec.probs, rec.token, cfg.mix.beta, vocab_size, entropy=h
             ).to_dense(vocab_size)
         got = np.zeros(vocab_size, dtype=np.float64)
         got[rec.support] = rec.weights

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mix_core import check_probs
+from .mix_core import built_valid, check_probs
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ def top_p_truncate(probs: np.ndarray, top_p: float) -> TruncatedDistribution:
 
     ids = order[:keep]
     kept = sorted_p[:keep]
-    return TruncatedDistribution(ids=ids, probs=kept / kept.sum(), full_vocab=p.size)
+    # a nonempty, renormalized prefix of a checked distribution: valid as built
+    return built_valid(TruncatedDistribution, ids=ids, probs=kept / kept.sum(), full_vocab=p.size)
 
 
 def sample_position(dist: TruncatedDistribution, rng: np.random.Generator) -> int:

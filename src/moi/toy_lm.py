@@ -11,7 +11,9 @@ Models are random-seeded or loaded from a "TLM/1" weight file; there is
 no training path.  Parameters are stored float32; the forward pass runs
 in float64 through the numpy kernels (see the kernels module), so
 repeated runs are bit-identical.  The KV cache is head-major,
-(layers, heads, context, head_dim).
+(layers, heads, capacity, head_dim), where a state's capacity is the
+number of positions it can hold: the model context by default, or just
+what one request needs.
 """
 
 from __future__ import annotations
@@ -108,11 +110,29 @@ _GAIN_TENSORS = frozenset({"ln1_g", "ln2_g", "lnf_g"})
 @dataclass
 class DecoderState:
     """Per-session incremental cache: keys/values for processed positions,
-    each (layers, heads, context, head_dim)."""
+    each (layers, heads, capacity, head_dim)."""
 
     k_cache: np.ndarray
     v_cache: np.ndarray
     length: int = 0
+
+    @property
+    def capacity(self) -> int:
+        """How many positions the caches can hold."""
+        return self.k_cache.shape[2]
+
+    def fork(self, capacity: int) -> "DecoderState":
+        """A fresh state holding a copy of this one's first `length`
+        positions, with room for `capacity`.  The source is only read, so
+        one state can seed many forks."""
+        if capacity < self.length:
+            raise ValueError(f"fork capacity {capacity} is below the state's length {self.length}")
+        layers, heads, _, head_dim = self.k_cache.shape
+        shape = (layers, heads, capacity, head_dim)
+        fork = DecoderState(k_cache=np.zeros(shape), v_cache=np.zeros(shape), length=self.length)
+        fork.k_cache[:, :, : self.length] = self.k_cache[:, :, : self.length]
+        fork.v_cache[:, :, : self.length] = self.v_cache[:, :, : self.length]
+        return fork
 
 
 class Model:
@@ -135,9 +155,14 @@ class Model:
         # float64 working copies; the kernels sum in double precision
         self._p64 = tuple(self.params[name].astype(np.float64) for name in TENSOR_ORDER)
 
-    def new_state(self) -> DecoderState:
+    def new_state(self, capacity: int | None = None) -> DecoderState:
+        """An empty state with room for `capacity` positions (default and
+        upper limit: the model context)."""
         cfg = self.config
-        shape = (cfg.layers, cfg.heads, cfg.context, cfg.dim // cfg.heads)
+        capacity = cfg.context if capacity is None else int(capacity)
+        if not (1 <= capacity <= cfg.context):
+            raise ValueError(f"state capacity must lie in [1, {cfg.context}], got {capacity}")
+        shape = (cfg.layers, cfg.heads, capacity, cfg.dim // cfg.heads)
         return DecoderState(k_cache=np.zeros(shape), v_cache=np.zeros(shape))
 
     def forward_step(self, state: DecoderState, input_vec: np.ndarray) -> np.ndarray:
@@ -147,8 +172,10 @@ class Model:
         row).  Returns float64 logits of length vocab.
         """
         cfg = self.config
-        if state.length >= cfg.context:
-            raise ValueError(f"context overflow: model capacity is {cfg.context} positions")
+        if state.length >= min(state.capacity, cfg.context):
+            if state.length >= cfg.context:
+                raise ValueError(f"context overflow: model capacity is {cfg.context} positions")
+            raise ValueError(f"state full: its capacity is {state.capacity} positions")
         x = np.ascontiguousarray(np.asarray(input_vec, dtype=np.float64))
         if x.shape != (cfg.dim,):
             raise ValueError(f"input vector must have shape ({cfg.dim},), got {x.shape}")

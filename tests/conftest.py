@@ -55,7 +55,7 @@ class OneHotStubModel:
     def token_at(self, position: int) -> int:
         return (self.offset + self.stride * position) % self.config.vocab
 
-    def new_state(self):
+    def new_state(self, capacity=None):
         return self._State()
 
     def forward_step(self, state, input_vec):

@@ -131,6 +131,21 @@ class TestGrid:
         assert all(0.0 <= float(r["score"]) <= 1.0 for r in rows)
         assert all(r["tokens_per_s"] == "" for r in rows)
 
+    def test_failed_trial_error_on_stderr(self, model_file, tmp_path):
+        # prompt (2) + budget (255) exceeds the 256-token context: generate fails
+        config = {
+            "betas": [1.0], "top_ps": [0.9], "temperatures": [0.7], "modes": ["moi"], "seeds": [0],
+            "task": {"kind": "greedy_recovery", "model": str(model_file), "prompts": ["ab"], "budget": 255},
+        }
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "results.csv"
+        proc = run_cli("grid", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "1 failed trials" in proc.stdout
+        assert "CSV line 2 (moi beta=1.0 top_p=0.9 temperature=0.7 seed=0): ValueError: prompt (2) + max_tokens (255)" in proc.stderr
+        assert out.read_text() == "mode,beta,top_p,temperature,seed,score,tokens_per_s\nmoi,1.0,0.9,0.7,0,error,\n"
+
     def test_external_scorer_rejected_from_json(self, model_file, tmp_path):
         config = {"task": {"kind": "external_scorer", "model": str(model_file), "prompts": ["ab"], "budget": 4}}
         cfg_path = tmp_path / "grid.json"
@@ -189,6 +204,19 @@ class TestBench:
         assert report["baseline"]["output_tokens_per_s"] > 0
         assert report["variant"]["label"] == "moi"
         assert "Overhead" in proc.stdout
+
+
+    def test_bench_prints_environment(self, model_file):
+        proc = run_cli(
+            "bench", "--model", str(model_file), "--prompt", "hi", "--budget", "4", "--runs", "1",
+            env_extra={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        table, env_line = proc.stdout.rstrip("\n").rsplit("\n", 1)
+        assert "Overhead" in table
+        assert env_line == (
+            f"environment: OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=2, MKL_NUM_THREADS=3, cpu_count={os.cpu_count()}"
+        )
 
 
 class TestUsage:

@@ -20,10 +20,18 @@ from moi.experiments import (
     trial_seed,
 )
 from moi.mix_core import MixConfig
-from moi.pipeline import GenConfig
+from moi.pipeline import GenConfig, prefill
 from moi.sampler import SamplerConfig
 
 PROMPTS = ((1, 2), (3, 4))
+
+
+def failing_scorer(model, cfg, prompts, budget):
+    """External scorer that fails on beta > 1 (module level, so a worker
+    process can unpickle it)."""
+    if cfg.mix.beta > 1.0:
+        raise RuntimeError(f"boom at beta {cfg.mix.beta}")
+    return 0.5
 
 
 def small_task(model, budget=6) -> TaskSpec:
@@ -72,6 +80,31 @@ class TestGreedyRecovery:
         assert greedy_recovery_score(small_model, cfg, prompts, 5) == greedy_recovery_score(
             small_model, cfg, prompts, 5
         )
+
+    def test_greedy_decode_from_prefix_matches(self, small_model):
+        start = prefill(small_model, (1, 2, 3))
+        for budget in (1, 5, 20):
+            want = greedy_decode(small_model, (1, 2, 3), budget)
+            assert greedy_decode(small_model, (1, 2, 3), budget, prefix=start) == want
+        with pytest.raises(ValueError, match="prompt"):
+            greedy_decode(small_model, (1, 2), 5, prefix=start)
+
+    def test_shared_cache_gives_the_uncached_scores(self, small_model):
+        prompts = [(1, 2), (3, 4), (5,), (1, 2)]
+        cache = {}
+        for seed in range(4):
+            for beta in (0.5, 4.0):
+                cfg = GenConfig(mix=MixConfig("moi", beta), sampler=SamplerConfig(0.8, 0.9, seed=seed), max_tokens=5)
+                cached = greedy_recovery_score(small_model, cfg, prompts, 5, _ref_cache=cache)
+                assert cached == greedy_recovery_score(small_model, cfg, prompts, 5)
+        assert set(cache) == {(1, 2), (3, 4), (5,)}
+
+    def test_cache_from_another_model_raises(self, small_model, bench_model):
+        cfg = GenConfig(mix=MixConfig("moi", 1.0), sampler=SamplerConfig(), max_tokens=4)
+        cache = {}
+        greedy_recovery_score(bench_model, cfg, [(1, 2)], 4, _ref_cache=cache)
+        with pytest.raises(ValueError, match="another model"):
+            greedy_recovery_score(small_model, cfg, [(1, 2)], 4, _ref_cache=cache)
 
     def test_greedy_decode_stops_at_stop_token(self, stub_model):
         stop = stub_model.token_at(1)
@@ -144,6 +177,53 @@ class TestRunGrid:
         assert math.isnan(table.rows[1].score)
         text = (tmp_path / "g.csv").read_text()
         assert "error" in text
+
+    def test_failed_trials_keep_their_error(self, small_model, tmp_path):
+        spec = GridSpec(
+            task=TaskSpec(model=small_model, prompts=PROMPTS, budget=4, kind="external_scorer", scorer=failing_scorer),
+            betas=(0.5, 2.0, 3.0),
+            top_ps=(0.9,),
+            temperatures=(0.7,),
+            modes=("moi",),
+            seeds=(0, 1),
+        )
+        serial = run_grid(spec, out_path=tmp_path / "serial.csv", jobs=1)
+        parallel = run_grid(spec, out_path=tmp_path / "par.csv", jobs=2)
+        want = {2: "RuntimeError: boom at beta 2.0", 3: "RuntimeError: boom at beta 2.0",
+                4: "RuntimeError: boom at beta 3.0", 5: "RuntimeError: boom at beta 3.0"}
+        assert serial.errors == want
+        assert parallel.errors == want
+        assert all(math.isnan(serial.rows[i].score) for i in want)
+        data = (tmp_path / "serial.csv").read_bytes()
+        assert data == (tmp_path / "par.csv").read_bytes()
+        assert data.count(b",error,") == 4 and b"boom" not in data
+
+    def test_prefix_reuse_keeps_csv_bytes(self, small_model, tmp_path):
+        # one cache per run_grid call (per worker with jobs > 1) prefills each
+        # prompt once; every row must still equal a trial scored from scratch
+        prompts = ((1, 2), (3, 4), (5, 6, 7), (8,))
+        spec = GridSpec(
+            task=TaskSpec(model=small_model, prompts=prompts, budget=5),
+            betas=(0.5, 2.0),
+            top_ps=(0.9,),
+            temperatures=(0.7, 1.0),
+            modes=("standard", "moi"),
+            seeds=(0, 1, 2),
+        )
+        table = run_grid(spec, out_path=tmp_path / "a.csv", jobs=1)
+        run_grid(spec, out_path=tmp_path / "b.csv", jobs=1)
+        run_grid(spec, out_path=tmp_path / "c.csv", jobs=2)
+        data = (tmp_path / "a.csv").read_bytes()
+        assert data == (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+        cfgs = [
+            GenConfig(mix=MixConfig(mode, beta), sampler=SamplerConfig(temperature, top_p, trial_seed(seed, ci, ri)),
+                      max_tokens=5)
+            for ci, (mode, beta, top_p, temperature) in enumerate(spec.configs())
+            for ri, seed in enumerate(spec.seeds)
+        ]
+        assert [row.score for row in table.rows] == [
+            greedy_recovery_score(small_model, cfg, prompts, 5) for cfg in cfgs
+        ]
 
     def test_parallel_matches_serial(self, small_model, tmp_path):
         spec = GridSpec(

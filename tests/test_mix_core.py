@@ -240,6 +240,25 @@ class TestBaselineWeights:
             one_hot_weights(-1, 8)
 
 
+class TestValidatedOnce:
+    def test_each_weight_rule_checks_its_input_once(self, monkeypatch):
+        calls = []
+        real = mix_core.check_probs
+        monkeypatch.setattr(mix_core, "check_probs", lambda p: calls.append(1) or real(p))
+        p = np.array([0.7, 0.2, 0.05, 0.05])
+        w = posterior_mix_weights(IDS4, p, 0, 1.0, 4)
+        assert len(calls) == 1
+        assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        direct_mix_weights(IDS4, p)
+        assert len(calls) == 2
+        one_hot_weights(2, 4)
+        assert len(calls) == 2
+
+    def test_direct_mix_weights_rejects_misaligned(self):
+        with pytest.raises(ValueError, match="aligned"):
+            direct_mix_weights(np.array([0, 1]), np.array([1.0]))
+
+
 class TestTypes:
     def test_mix_config_validation(self):
         assert MixConfig("moi", 1.0).beta == 1.0

@@ -12,6 +12,7 @@ from moi.pipeline import (
     StepRecord,
     TraceFormatError,
     generate,
+    prefill,
     read_trace,
     replay_verify,
     write_trace,
@@ -127,6 +128,82 @@ class TestGenerate:
             assert got == base
 
 
+def assert_same_result(a, b):
+    """Tokens and every StepRecord field equal bit for bit."""
+    assert a.tokens == b.tokens
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        assert (ra.step, ra.token, ra.mode) == (rb.step, rb.token, rb.mode)
+        assert np.float64(ra.entropy).tobytes() == np.float64(rb.entropy).tobytes()
+        for x, y in ((ra.support, rb.support), (ra.probs, rb.probs), (ra.weights, rb.weights)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestPrefix:
+    PROMPT = list(b"hello")
+
+    def test_prefix_equals_fresh_generate(self, bench_model):
+        start = prefill(bench_model, self.PROMPT)
+        for mode in ("standard", "direct_mixture", "moi"):
+            for seed in range(3):
+                cfg = gen_cfg(mode=mode, seed=seed, max_tokens=24)
+                fresh = generate(bench_model, self.PROMPT, cfg)
+                # the same Prefill twice: a write to its state would show
+                assert_same_result(generate(bench_model, self.PROMPT, cfg, prefix=start), fresh)
+                assert_same_result(generate(bench_model, self.PROMPT, cfg, prefix=start), fresh)
+
+    def test_prefix_with_stop_tokens(self, bench_model):
+        start = prefill(bench_model, self.PROMPT)
+        stopped = 0
+        for seed in range(6):
+            first = generate(bench_model, self.PROMPT, gen_cfg(seed=seed, max_tokens=12)).tokens
+            cfg = gen_cfg(seed=seed, max_tokens=12, stop_tokens=frozenset({first[3]}))
+            fresh = generate(bench_model, self.PROMPT, cfg)
+            stopped += len(fresh.tokens) < 12
+            assert_same_result(generate(bench_model, self.PROMPT, cfg, prefix=start), fresh)
+        assert stopped
+
+    def test_prefill_state_is_left_unchanged(self, bench_model):
+        start = prefill(bench_model, self.PROMPT)
+        k, v, logits = start.state.k_cache.copy(), start.state.v_cache.copy(), start.logits.copy()
+        generate(bench_model, self.PROMPT, gen_cfg(max_tokens=30), prefix=start)
+        assert start.state.length == len(self.PROMPT)
+        np.testing.assert_array_equal(start.state.k_cache, k)
+        np.testing.assert_array_equal(start.state.v_cache, v)
+        np.testing.assert_array_equal(start.logits, logits)
+
+    def test_prefix_for_another_prompt_rejected(self, bench_model):
+        start = prefill(bench_model, self.PROMPT)
+        with pytest.raises(ValueError, match="prompt"):
+            generate(bench_model, list(b"hellO"), gen_cfg(), prefix=start)
+        with pytest.raises(ValueError, match="prompt"):
+            generate(bench_model, self.PROMPT[:-1], gen_cfg(), prefix=start)
+
+    def test_prefix_from_another_model_rejected(self, bench_model):
+        from moi.toy_lm import ModelConfig, init_random
+
+        twin = init_random(ModelConfig(init_seed=9))  # same weights, another object
+        start = prefill(twin, self.PROMPT)
+        with pytest.raises(ValueError, match="another model"):
+            generate(bench_model, self.PROMPT, gen_cfg(), prefix=start)
+
+    def test_state_sized_to_request(self, bench_model):
+        start = prefill(bench_model, self.PROMPT)
+        assert start.state.capacity == len(self.PROMPT)
+        sizes = []
+        real_new_state = type(bench_model).new_state
+
+        class Spy(type(bench_model)):
+            def new_state(self, capacity=None):
+                state = real_new_state(self, capacity)
+                sizes.append(state.capacity)
+                return state
+
+        spy = Spy(bench_model.config, bench_model.params)
+        generate(spy, self.PROMPT, gen_cfg(max_tokens=7))
+        assert sizes == [len(self.PROMPT) + 7 - 1]
+
+
 class TestGoldenTokens:
     def test_default_model_tokens_unchanged(self, default_model):
         golden = json.loads((Path(__file__).parent / "golden_tokens.json").read_text())
@@ -182,6 +259,10 @@ class TestTraceIO:
             '{"step":0,"token":3,"H":0.0,"support":[3,3],"probs":[1.0,0.0],"weights":[0,1],"mode":"standard"}',
             '{"step":0,"token":2,"H":0.0,"support":[1],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
             '{"step":0,"token":1,"H":0.0,"support":[[1]],"probs":[[1.0]],"weights":[[1.0]],"mode":"standard"}',
+            '{"step":0,"token":3,"H":0.1,"support":[3,4],"probs":[0.5,0.2],"weights":[0.6,0.4],"mode":"moi"}',
+            '{"step":0,"token":3,"H":0.1,"support":[3,4],"probs":[1.2,-0.2],"weights":[0.6,0.4],"mode":"moi"}',
+            '{"step":0,"token":3,"H":0.1,"support":[3,4],"probs":[NaN,1.0],"weights":[0.6,0.4],"mode":"moi"}',
+            '{"step":0,"token":3,"H":0.1,"support":[3,4],"probs":[0.5,0.5000001],"weights":[0.6,0.4],"mode":"moi"}',
         ]
         for line in cases:
             path = tmp_path / "case.jsonl"

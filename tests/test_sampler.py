@@ -95,6 +95,28 @@ class TestTopPTruncate:
             assert np.all(np.diff(p[d.ids]) <= 1e-15)
 
 
+class TestValidatedOnce:
+    def test_top_p_truncate_checks_once(self, monkeypatch):
+        from moi import sampler
+
+        calls = []
+        monkeypatch.setattr(sampler, "check_probs", lambda p: calls.append(1) or check_probs(p))
+        d = top_p_truncate(np.array([0.5, 0.3, 0.15, 0.05]), 0.8)
+        assert calls == [1]
+        assert d.ids.dtype == np.int64 and d.probs.dtype == np.float64
+
+    def test_direct_construction_still_validates(self):
+        bad = (
+            (np.array([0, 1]), np.array([0.7, 0.7])),
+            (np.array([0, 1]), np.array([1.5, -0.5])),
+            (np.array([0]), np.array([np.nan])),
+            (np.array([], dtype=np.int64), np.array([])),
+        )
+        for ids, probs in bad:
+            with pytest.raises(ValueError):
+                TruncatedDistribution(ids=ids, probs=probs, full_vocab=4)
+
+
 class TestSampleCategorical:
     def test_singleton_support(self):
         d = TruncatedDistribution(ids=np.array([5]), probs=np.array([1.0]), full_vocab=8)

@@ -223,6 +223,60 @@ class TestForwardStep:
         with pytest.raises(ValueError, match="context overflow"):
             model.forward_step(state, x)
 
+    def test_default_state_holds_full_context(self, small_model):
+        state = small_model.new_state()
+        cfg = small_model.config
+        assert state.capacity == cfg.context
+        assert state.k_cache.shape == (cfg.layers, cfg.heads, cfg.context, cfg.dim // cfg.heads)
+        x = moi.lookup(small_model.embedding_table, 0)
+        for _ in range(cfg.context):
+            small_model.forward_step(state, x)
+        with pytest.raises(ValueError, match="context overflow"):
+            small_model.forward_step(state, x)
+
+    def test_forward_past_capacity_raises(self, small_model):
+        state = small_model.new_state(4)
+        assert state.k_cache.shape[2] == 4
+        x = moi.lookup(small_model.embedding_table, 0)
+        for _ in range(4):
+            small_model.forward_step(state, x)
+        with pytest.raises(ValueError, match="capacity is 4"):
+            small_model.forward_step(state, x)
+        assert state.length == 4
+
+    def test_capacity_outside_context_rejected(self, small_model):
+        for capacity in (0, small_model.config.context + 1):
+            with pytest.raises(ValueError, match="capacity"):
+                small_model.new_state(capacity)
+
+    def test_sized_state_gives_identical_logits(self, small_model):
+        rng = np.random.Generator(np.random.PCG64(41))
+        inputs = [rng.normal(0, 0.3, size=small_model.config.dim) for _ in range(7)]
+        full, sized = small_model.new_state(), small_model.new_state(len(inputs))
+        for x in inputs:
+            np.testing.assert_array_equal(small_model.forward_step(sized, x), small_model.forward_step(full, x))
+
+    def test_fork_copies_and_leaves_source(self, small_model):
+        rng = np.random.Generator(np.random.PCG64(43))
+        inputs = [rng.normal(0, 0.3, size=small_model.config.dim) for _ in range(6)]
+        source = small_model.new_state(3)
+        for x in inputs[:3]:
+            small_model.forward_step(source, x)
+        k, v = source.k_cache.copy(), source.v_cache.copy()
+        reference = small_model.new_state()
+        for x in inputs[:3]:
+            small_model.forward_step(reference, x)
+
+        fork = source.fork(6)
+        assert (fork.length, fork.capacity) == (3, 6)
+        for x in inputs[3:]:
+            np.testing.assert_array_equal(small_model.forward_step(fork, x), small_model.forward_step(reference, x))
+        assert source.length == 3
+        np.testing.assert_array_equal(source.k_cache, k)
+        np.testing.assert_array_equal(source.v_cache, v)
+        with pytest.raises(ValueError, match="below"):
+            source.fork(2)
+
     def test_bad_input_shape(self, small_model):
         with pytest.raises(ValueError, match="shape"):
             small_model.forward_step(small_model.new_state(), np.zeros(3))
