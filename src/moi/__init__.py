@@ -11,11 +11,9 @@ from .mix_core import (
     MixConfig,
     MixingWeights,
     direct_mix_weights,
-    dirichlet_prior,
     normalized_entropy,
     one_hot_weights,
     posterior_mix_weights,
-    pseudo_counts,
 )
 from .pipeline import (
     GenConfig,
@@ -48,7 +46,6 @@ __all__ = [
     "apply_temperature",
     "backend_name",
     "direct_mix_weights",
-    "dirichlet_prior",
     "generate",
     "init_random",
     "load_weights",
@@ -59,7 +56,6 @@ __all__ = [
     "one_hot_weights",
     "posterior_mix_weights",
     "prefill",
-    "pseudo_counts",
     "read_trace",
     "replay_verify",
     "sample_categorical",

@@ -60,6 +60,11 @@ def mix_embeddings(table: EmbeddingTable, weights: MixingWeights) -> np.ndarray:
         raise IndexError(f"weight support outside vocabulary of size {table.vocab}")
     if ids.size == 1 and weights.weights[0] == 1.0:
         return table.matrix[int(ids[0])].copy()
+    return mix(table.matrix, ids, weights.weights)
+
+
+def mix(matrix: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """`weights` over rows `ids` of `matrix`, summed in float64 in ascending
+    id order and narrowed to float32.  No checks (see `mix_embeddings`)."""
     order = np.argsort(ids, kind="stable")
-    mixed = kernels.mix_rows(table.matrix, ids[order], weights.weights[order])
-    return mixed.astype(np.float32)
+    return kernels.mix_rows(matrix, ids[order], weights[order]).astype(np.float32)

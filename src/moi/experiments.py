@@ -177,9 +177,9 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     """Fraction of prompts whose sampled sequence matches the greedy decode.
 
     Each prompt is prefilled once; its greedy decode and its sampled
-    generation both start from that prefill.  `_ref_cache` (prompt ->
-    (reference, prefill)) carries both across calls with the same model,
-    budget and stop tokens, so a grid prefills each prompt once.
+    generation both start from that prefill.  `_ref_cache` ((prompt,
+    budget, stop tokens) -> (reference, prefill)) carries both across
+    calls with the same model, so a grid prefills each prompt once.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1: nothing to compare")
@@ -189,12 +189,13 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     cfg = replace(cfg, max_tokens=budget)
     matches = 0
     for prompt in prompts:
-        entry = None if _ref_cache is None else _ref_cache.get(prompt)
+        key = (prompt, budget, cfg.stop_tokens)
+        entry = None if _ref_cache is None else _ref_cache.get(key)
         if entry is None:
             start = prefill(model, prompt)
             entry = (greedy_decode(model, prompt, budget, cfg.stop_tokens, prefix=start), start)
             if _ref_cache is not None:
-                _ref_cache[prompt] = entry
+                _ref_cache[key] = entry
         reference, start = entry
         result = generate(model, prompt, cfg, prefix=start)
         matches += int(result.tokens == reference)

@@ -13,6 +13,10 @@ interpolates between the distribution (H -> 1) and the one-hot token
 (H -> 0).  Two baseline weight rules live here as well: one-hot feedback
 and the distribution used verbatim.
 
+Each step has one implementation: the unchecked cores `entropy_of` and
+`feedback_weights`, shared by the decode loop, trace replay and the
+public functions, which validate their input and then call them.
+
 All probability math is float64.  Distributions are handled sparsely as
 (token id, probability) pairs with implicit zeros; the entropy normalizer
 ``log V`` always uses the full vocabulary size, never the support size.
@@ -56,35 +60,11 @@ def built_valid(cls, **fields):
 
 
 @dataclass(frozen=True)
-class PseudoCounts:
-    """Single fractional observation on the sampled token.
-
-    `total` always equals `count`: the update never holds more than one
-    nonzero entry.
-    """
-
-    token_id: int
-    count: float
-
-    @property
-    def total(self) -> float:
-        return self.count
-
-
-@dataclass(frozen=True)
-class ConcentrationVector:
-    """Sparse Dirichlet concentration over token ids; entries sum to H."""
-
-    ids: np.ndarray
-    alpha: np.ndarray
-
-
-@dataclass(frozen=True)
 class MixingWeights:
     """Sparse convex-combination weights over token ids.
 
-    `ids` and `weights` are aligned 1-D arrays; weights are non-negative
-    and sum to 1 within 1e-9.
+    `ids` and `weights` are aligned 1-D arrays; weights are a probability
+    vector (finite, non-negative, summing to 1 within 1e-9).
     """
 
     ids: np.ndarray
@@ -92,16 +72,9 @@ class MixingWeights:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        if self.ids.shape != self.weights.shape or self.ids.ndim != 1:
+        object.__setattr__(self, "weights", check_probs(self.weights))
+        if self.ids.shape != self.weights.shape:
             raise ValueError("ids and weights must be aligned 1-D arrays")
-        if self.ids.size == 0:
-            raise ValueError("weights must have nonempty support")
-        if np.any(self.weights < 0.0):
-            raise ValueError("weights must be non-negative")
-        total = float(np.sum(self.weights))
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"weights sum to {total}, expected 1 within {_SUM_TOL}")
 
     def weight_of(self, token_id: int) -> float:
         """Weight assigned to `token_id` (0.0 when outside the support)."""
@@ -143,10 +116,10 @@ def normalized_entropy(probs: np.ndarray, vocab_size: int) -> float:
     vocabulary, not the support size, so truncating a distribution cannot
     push the normalizer around.
     """
-    return _entropy(check_probs(probs), vocab_size)
+    return entropy_of(check_probs(probs), vocab_size)
 
 
-def _entropy(p: np.ndarray, vocab_size: int) -> float:
+def entropy_of(p: np.ndarray, vocab_size: int) -> float:
     """normalized_entropy of an already validated float64 vector."""
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2 for the log V normalizer, got {vocab_size}")
@@ -155,28 +128,25 @@ def _entropy(p: np.ndarray, vocab_size: int) -> float:
     return min(1.0, max(0.0, h))
 
 
-def dirichlet_prior(ids: np.ndarray, probs: np.ndarray, entropy: float) -> ConcentrationVector:
-    """Concentration vector alpha = H * p over the support `ids`.
-
-    Total concentration equals `entropy`: it grows with uncertainty and
-    vanishes when the distribution is confident.
+def feedback_weights(mode: str, p: np.ndarray, pos: int, entropy: float, beta: float) -> np.ndarray:
+    """Weights of feedback rule `mode` aligned with the validated float64
+    distribution `p`, whose sampled token is at index `pos`: one-hot at
+    `pos` (standard), `p` itself (direct_mixture), or the posterior mean
+    for normalized entropy `entropy` (moi).  No checks.
     """
-    p = check_probs(probs)
-    if not (0.0 <= entropy <= 1.0):
-        raise ValueError(f"entropy must lie in [0, 1], got {entropy}")
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.shape != p.shape:
-        raise ValueError("ids and probs must be aligned")
-    return ConcentrationVector(ids=ids, alpha=entropy * p)
-
-
-def pseudo_counts(sampled: int, entropy: float, beta: float) -> PseudoCounts:
-    """Observation term: count beta + 1 - H on the sampled token only."""
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not (0.0 <= entropy <= 1.0):
-        raise ValueError(f"entropy must lie in [0, 1], got {entropy}")
-    return PseudoCounts(token_id=int(sampled), count=beta + 1.0 - entropy)
+    if mode == "standard":
+        w = np.zeros(p.shape[0], dtype=np.float64)
+        w[pos] = 1.0
+        return w
+    if mode == "direct_mixture":
+        return p.copy()
+    denom = beta + 1.0
+    w = p * (entropy / denom)
+    w[pos] += (beta + 1.0 - entropy) / denom
+    total = float(np.sum(w))
+    if abs(total - 1.0) > _RENORM_TOL:
+        w /= total
+    return w
 
 
 def posterior_mix_weights(
@@ -190,12 +160,13 @@ def posterior_mix_weights(
     """Posterior-mean mixing weights for the conjugate Dirichlet update.
 
     w_i = (H * p_i + (beta + 1 - H) * [i == sampled]) / (beta + 1), where H
-    is the normalized entropy of the distribution.  The sum is 1 by
-    construction; it is renormalized only if float drift exceeds 1e-12.
-    If `sampled` is missing from `ids` (it never is when sampling from
-    this distribution) it is appended to the support.  Callers that
-    already hold the distribution's normalized entropy can pass it as
-    `entropy` to skip recomputing it.
+    is the normalized entropy of the distribution: a prior alpha = H * p of
+    total concentration H plus one pseudo-count beta + 1 - H on the sampled
+    token.  The sum is 1 by construction; it is renormalized only if float
+    drift exceeds 1e-12.  If `sampled` is missing from `ids` (it never is
+    when sampling from this distribution) it is appended to the support.
+    Callers that already hold the distribution's normalized entropy can
+    pass it as `entropy` to skip recomputing it.
     """
     ids = np.asarray(ids, dtype=np.int64)
     p = check_probs(probs)
@@ -209,23 +180,18 @@ def posterior_mix_weights(
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
 
-    h = _entropy(p, vocab_size) if entropy is None else float(entropy)
+    h = entropy_of(p, vocab_size) if entropy is None else float(entropy)
     if not (0.0 <= h <= 1.0):
         raise ValueError(f"entropy must lie in [0, 1], got {h}")
-    denom = beta + 1.0
-    hits = np.nonzero(ids == sampled)[0]
+    hits = np.flatnonzero(ids == sampled)
     if hits.size:
-        out_ids = ids
-        w = p * (h / denom)
-        w[hits[0]] += (beta + 1.0 - h) / denom
+        pos = int(hits[0])
     else:
-        out_ids = np.concatenate([ids, [sampled]])
-        w = np.concatenate([p * (h / denom), [(beta + 1.0 - h) / denom]])
-    total = float(np.sum(w))
-    if abs(total - 1.0) > _RENORM_TOL:
-        w = w / total
+        # a zero-probability entry for it at the end: the same float ops
+        ids, p, pos = np.append(ids, sampled), np.append(p, 0.0), ids.size
+    w = feedback_weights("moi", p, pos, h, beta)
     # non-negative (h <= 1 < beta + 1) and summing to 1: valid as built
-    return built_valid(MixingWeights, ids=out_ids, weights=w)
+    return built_valid(MixingWeights, ids=ids, weights=w)
 
 
 def direct_mix_weights(ids: np.ndarray, probs: np.ndarray) -> MixingWeights:
@@ -234,7 +200,7 @@ def direct_mix_weights(ids: np.ndarray, probs: np.ndarray) -> MixingWeights:
     p = check_probs(probs)
     if ids.shape != p.shape:
         raise ValueError("ids and weights must be aligned 1-D arrays")
-    return built_valid(MixingWeights, ids=ids, weights=p)
+    return built_valid(MixingWeights, ids=ids, weights=feedback_weights("direct_mixture", p, 0, 0.0, 1.0))
 
 
 def one_hot_weights(sampled: int, vocab_size: int) -> MixingWeights:

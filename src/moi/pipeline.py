@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, mix_core
-from .embedding import lookup
+from . import mix_core
+from .embedding import lookup, mix
 from .mix_core import MixConfig
 from .sampler import SamplerConfig, apply_temperature, make_rng, sample_position, top_p_truncate
 from .toy_lm import DecoderState, Model
@@ -166,31 +166,6 @@ def start_state(model: Model, prompt: list[int], capacity: int, prefix: Prefill 
     return prefix.state.fork(capacity), prefix.logits
 
 
-def _step_weights(cfg: GenConfig, probs, pos: int, token: int, entropy: float) -> tuple[np.ndarray, str]:
-    """Support-aligned feedback weights plus the mode actually applied.
-
-    Identical arithmetic to the mix_core weight rules (replay recomputes
-    through those public operations), inlined so the per-step cost stays
-    a small fraction of the forward pass.
-    """
-    mode = cfg.mix.mode
-    if cfg.special_passthrough and token in (cfg.stop_tokens | cfg.special_tokens):
-        mode = "standard"
-    if mode == "standard":
-        weights = np.zeros(probs.shape[0], dtype=np.float64)
-        weights[pos] = 1.0
-        return weights, "standard"
-    if mode == "direct_mixture":
-        return probs.copy(), "direct_mixture"
-    denom = cfg.mix.beta + 1.0
-    weights = probs * (entropy / denom)
-    weights[pos] += (cfg.mix.beta + 1.0 - entropy) / denom
-    total = float(np.sum(weights))
-    if abs(total - 1.0) > 1e-12:
-        weights /= total
-    return weights, "moi"
-
-
 def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None) -> GenerationResult:
     """Run the decode loop: sample, weight, mix, feed back.
 
@@ -220,7 +195,7 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     prefill_seconds = time.perf_counter() - t0
 
     matrix = model.embedding_table.matrix
-    log_vocab = np.log(vocab)
+    passthrough = cfg.stop_tokens | cfg.special_tokens if cfg.special_passthrough else frozenset()
     tokens: list[int] = []
     records: list[StepRecord] = []
     t1 = time.perf_counter()
@@ -235,9 +210,9 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
         else:
             ids, probs = np.arange(vocab, dtype=np.int64), dense
             pos = token
-        nz = probs[probs > 0.0]
-        entropy = min(1.0, max(0.0, -float(np.sum(nz * np.log(nz))) / log_vocab))
-        weights, applied_mode = _step_weights(cfg, probs, pos, token, entropy)
+        entropy = mix_core.entropy_of(probs, vocab)
+        applied_mode = "standard" if token in passthrough else cfg.mix.mode
+        weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, cfg.mix.beta)
 
         tokens.append(token)
         records.append(
@@ -253,11 +228,7 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
         )
         if token in cfg.stop_tokens or step == cfg.max_tokens - 1:
             break
-        if applied_mode == "standard":
-            fed = matrix[token].copy()
-        else:
-            order = np.argsort(ids, kind="stable")
-            fed = kernels.mix_rows(matrix, ids[order], weights[order]).astype(np.float32)
+        fed = matrix[token].copy() if applied_mode == "standard" else mix(matrix, ids, weights)
         logits = model.forward_step(state, fed)
     decode_seconds = time.perf_counter() - t1
 
@@ -308,24 +279,27 @@ def read_trace(path: str | Path) -> list[StepRecord]:
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
             try:
+                # exact JSON types: int() and float() would coerce 1.7, "3" and true
+                if not set(map(type, [obj["step"], obj["token"], *obj["support"]])) <= {int}:
+                    raise TypeError("step, token and support ids must be integers")
+                if not set(map(type, [obj["H"], *obj["probs"], *obj["weights"]])) <= {int, float}:
+                    raise TypeError("H, probs and weights must be numbers")
                 support = np.asarray(obj["support"], dtype=np.int64)
                 probs = np.asarray(obj["probs"], dtype=np.float64)
                 weights = np.asarray(obj["weights"], dtype=np.float64)
                 rec = StepRecord(
-                    step=int(obj["step"]),
-                    token=int(obj["token"]),
+                    step=obj["step"],
+                    token=obj["token"],
                     entropy=float(obj["H"]),
                     support=support,
                     probs=probs,
                     weights=weights,
                     mode=str(obj["mode"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(f"line {lineno}: bad record: {exc}") from exc
             if rec.mode not in mix_core.MODES:
                 raise TraceFormatError(f"line {lineno}: unknown mode {rec.mode!r}")
-            if support.ndim != 1:
-                raise TraceFormatError(f"line {lineno}: support must be a list of token ids")
             if probs.shape != support.shape or weights.shape != support.shape:
                 raise TraceFormatError(f"line {lineno}: probs/weights not aligned with support")
             try:
@@ -357,8 +331,11 @@ def replay_verify(
     The recorded `mode` must match `cfg.mix.mode`, except that "standard"
     records are always admissible (stop/special passthrough steps).  The
     trace schema does not carry the vocabulary size, so the entropy
-    normalizer's `vocab_size` is a parameter here; a support id outside
-    [0, vocab_size) raises TraceFormatError.
+    normalizer's `vocab_size` is a parameter here.  Replay runs the
+    engine's own `entropy_of` and `feedback_weights` on the support-aligned
+    arrays; a record whose arrays are not aligned, whose support lacks its
+    token or leaves [0, vocab_size), or whose probs are not a distribution
+    raises TraceFormatError.
     """
     max_h = 0.0
     max_w = 0.0
@@ -368,24 +345,26 @@ def replay_verify(
             raise ValueError(
                 f"step {rec.step}: trace mode {rec.mode!r} incompatible with config mode {cfg.mix.mode!r}"
             )
-        if rec.support.size and (rec.support.min() < 0 or rec.support.max() >= vocab_size):
+        support = rec.support
+        if rec.probs.shape != support.shape or rec.weights.shape != support.shape:
+            raise TraceFormatError(f"step {rec.step}: probs/weights not aligned with support")
+        hits = np.flatnonzero(support == rec.token)
+        if not hits.size:
+            raise TraceFormatError(f"step {rec.step}: token {rec.token} not in support")
+        if support.min() < 0 or support.max() >= vocab_size:
             raise TraceFormatError(f"step {rec.step}: support ids outside vocabulary of size {vocab_size}")
-        h = mix_core.normalized_entropy(rec.probs, vocab_size)
-        if rec.mode == "standard":
-            expected = mix_core.one_hot_weights(rec.token, vocab_size).to_dense(vocab_size)
-        elif rec.mode == "direct_mixture":
-            expected = mix_core.direct_mix_weights(rec.support, rec.probs).to_dense(vocab_size)
-        else:
-            expected = mix_core.posterior_mix_weights(
-                rec.support, rec.probs, rec.token, cfg.mix.beta, vocab_size, entropy=h
-            ).to_dense(vocab_size)
-        got = np.zeros(vocab_size, dtype=np.float64)
-        got[rec.support] = rec.weights
+        try:
+            p = mix_core.check_probs(rec.probs)
+        except ValueError as exc:
+            raise TraceFormatError(f"step {rec.step}: probs: {exc}") from exc
+        h = mix_core.entropy_of(p, vocab_size)
+        expected = mix_core.feedback_weights(rec.mode, p, hits[0], h, cfg.mix.beta)
         h_dev = abs(h - rec.entropy)
-        w_dev = float(np.max(np.abs(expected - got)))
+        w_dev = float(np.max(np.abs(expected - rec.weights)))
         max_h = max(max_h, h_dev)
         max_w = max(max_w, w_dev)
-        if (h_dev > tolerance or w_dev > tolerance) and first_bad is None:
+        # NaN deviations fail too
+        if not (h_dev <= tolerance and w_dev <= tolerance) and first_bad is None:
             first_bad = rec.step
     return ReplayReport(
         passed=first_bad is None,

@@ -109,6 +109,15 @@ class TestGenerate:
         proc = run_cli("replay", "--trace", str(trace), "--mode", "standard")
         assert proc.returncode == 1
         assert "line 1: duplicate support ids" in proc.stderr
+        # non-integer ids used to be coerced by int() and replayed as passing
+        for line in (
+            '{"step":0,"token":"255","H":0.0,"support":[255.9],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":1.7,"token":3,"H":0.0,"support":["3"],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+        ):
+            trace.write_text(line + "\n")
+            proc = run_cli("replay", "--trace", str(trace), "--mode", "standard")
+            assert proc.returncode == 1
+            assert "line 1: bad record" in proc.stderr
 
 
 class TestGrid:

@@ -1,6 +1,7 @@
 """Grid harness, greedy-recovery scoring, best-of-N, and throughput."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,7 +98,21 @@ class TestGreedyRecovery:
                 cfg = GenConfig(mix=MixConfig("moi", beta), sampler=SamplerConfig(0.8, 0.9, seed=seed), max_tokens=5)
                 cached = greedy_recovery_score(small_model, cfg, prompts, 5, _ref_cache=cache)
                 assert cached == greedy_recovery_score(small_model, cfg, prompts, 5)
-        assert set(cache) == {(1, 2), (3, 4), (5,)}
+        assert set(cache) == {((1, 2), 5, frozenset()), ((3, 4), 5, frozenset()), ((5,), 5, frozenset())}
+
+    def test_cache_keyed_by_budget_and_stop_tokens(self, bench_model):
+        prompts = [tuple(b"ab"), tuple(b"the")]
+        cfg = GenConfig(mix=MixConfig("standard", 1.0), sampler=SamplerConfig(0.01, 1.0, seed=0), max_tokens=5)
+        fresh = greedy_recovery_score(bench_model, cfg, prompts, 3)
+        assert fresh == 1.0
+        cache = {}
+        greedy_recovery_score(bench_model, cfg, prompts, 5, _ref_cache=cache)
+        assert greedy_recovery_score(bench_model, cfg, prompts, 3, _ref_cache=cache) == fresh
+        stop = greedy_decode(bench_model, prompts[0], 5)[1]
+        stopped = replace(cfg, stop_tokens=frozenset({stop}))
+        assert greedy_recovery_score(bench_model, stopped, prompts, 5, _ref_cache=cache) == (
+            greedy_recovery_score(bench_model, stopped, prompts, 5)
+        )
 
     def test_cache_from_another_model_raises(self, small_model, bench_model):
         cfg = GenConfig(mix=MixConfig("moi", 1.0), sampler=SamplerConfig(), max_tokens=4)

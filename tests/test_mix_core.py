@@ -19,18 +19,14 @@ from moi.mix_core import (
     MixConfig,
     MixingWeights,
     direct_mix_weights,
-    dirichlet_prior,
     normalized_entropy,
     one_hot_weights,
     posterior_mix_weights,
-    pseudo_counts,
 )
 
 # frozen oracle values for p = (0.7, 0.2, 0.05, 0.05), V = 4
 ORACLE_P = np.array([0.7, 0.2, 0.05, 0.05])
 ORACLE_H = 0.6283898247235197
-ORACLE_ALPHA = np.array([0.4398728773064638, 0.12567796494470395, 0.03141949123617599, 0.03141949123617599])
-ORACLE_COUNT = 1.3716101752764803
 ORACLE_W = np.array([0.905741526291472, 0.06283898247235197, 0.015709745618087993, 0.015709745618087993])
 
 IDS4 = np.arange(4)
@@ -95,51 +91,6 @@ class TestNormalizedEntropy:
             normalized_entropy(np.array([np.nan, 1.0]), 4)
 
 
-class TestDirichletPrior:
-    def test_uniform_full_entropy(self):
-        cv = dirichlet_prior(IDS4, np.full(4, 0.25), 1.0)
-        np.testing.assert_allclose(cv.alpha, 0.25, atol=0)
-
-    def test_zero_entropy_vanishes(self):
-        cv = dirichlet_prior(IDS4, ORACLE_P, 0.0)
-        assert np.all(cv.alpha == 0.0)
-
-    def test_worked_example(self):
-        cv = dirichlet_prior(IDS4, ORACLE_P, ORACLE_H)
-        np.testing.assert_allclose(cv.alpha, ORACLE_ALPHA, atol=1e-15)
-
-    def test_total_concentration_equals_entropy(self):
-        rng = np.random.Generator(np.random.PCG64(1))
-        for _ in range(25):
-            v = int(rng.integers(2, 10))
-            p = random_dist(rng, v)
-            h = normalized_entropy(p, v)
-            assert dirichlet_prior(np.arange(v), p, h).alpha.sum() == pytest.approx(h, abs=1e-9)
-
-
-class TestPseudoCounts:
-    def test_full_entropy(self):
-        pc = pseudo_counts(2, 1.0, 1.0)
-        assert pc.token_id == 2 and pc.count == 1.0 and pc.total == 1.0
-
-    def test_zero_entropy(self):
-        pc = pseudo_counts(0, 0.0, 1.0)
-        assert pc.count == 2.0
-
-    def test_worked_example(self):
-        assert pseudo_counts(0, ORACLE_H, 1.0).count == pytest.approx(ORACLE_COUNT, abs=1e-15)
-
-    def test_total_invariant(self):
-        pc = pseudo_counts(3, 0.25, 2.5)
-        assert pc.total == pytest.approx(2.5 + 1.0 - 0.25, abs=1e-12)
-
-    def test_bad_beta_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_counts(0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            pseudo_counts(0, 0.5, -1.0)
-
-
 class TestPosteriorMixWeights:
     def test_one_hot_collapse(self):
         for beta in (0.25, 1.0, 8.0):
@@ -160,9 +111,14 @@ class TestPosteriorMixWeights:
 
     def test_sampled_outside_support_appended(self):
         ids = np.array([3, 7])
-        w = posterior_mix_weights(ids, np.array([0.6, 0.4]), 5, 1.0, 16)
-        assert 5 in w.ids
+        p = np.array([0.6, 0.4])
+        w = posterior_mix_weights(ids, p, 5, 1.0, 16)
+        assert w.ids.tolist() == [3, 7, 5]
         assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        # the closed form with p_5 = 0, bit for bit
+        h = normalized_entropy(p, 16)
+        want = np.concatenate([p * (h / 2.0), [(2.0 - h) / 2.0]])
+        assert w.weights.tobytes() == want.tobytes()
 
     def test_precomputed_entropy_matches(self):
         h = normalized_entropy(ORACLE_P, 4)
@@ -274,6 +230,10 @@ class TestTypes:
             MixingWeights(ids=np.array([0]), weights=np.array([-1.0]))
         with pytest.raises(ValueError):
             MixingWeights(ids=np.array([], dtype=np.int64), weights=np.array([]))
+        with pytest.raises(ValueError):
+            MixingWeights(ids=np.array([0, 1]), weights=np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="aligned"):
+            MixingWeights(ids=np.array([0, 1, 2]), weights=np.array([0.5, 0.5]))
 
     def test_weight_of_outside_support(self):
         assert one_hot_weights(1, 4).weight_of(2) == 0.0

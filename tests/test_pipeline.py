@@ -1,12 +1,17 @@
 """Generation loop, step records, trace files, and replay verification."""
 
+import copy
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moi.mix_core import MixConfig, check_probs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moi.mix_core import MixConfig, check_probs, posterior_mix_weights
 from moi.pipeline import (
     GenConfig,
     StepRecord,
@@ -204,18 +209,73 @@ class TestPrefix:
         assert sizes == [len(self.PROMPT) + 7 - 1]
 
 
+def records_sha256(records) -> str:
+    """sha256 of every StepRecord field: step, token, mode, the entropy's
+    float64 bytes and the dtype, size and bytes of support, probs and
+    weights."""
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(f"{rec.step} {rec.token} {rec.mode}\n".encode())
+        h.update(np.float64(rec.entropy).tobytes())
+        for arr in (rec.support, rec.probs, rec.weights):
+            h.update(f"{arr.dtype.str} {arr.size}\n".encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 class TestGoldenTokens:
     def test_default_model_tokens_unchanged(self, default_model):
         golden = json.loads((Path(__file__).parent / "golden_tokens.json").read_text())
         for case in golden["cases"]:
+            records = []
             for mode, want in case["tokens"].items():
                 cfg = GenConfig(
                     mix=MixConfig(mode, 1.0),
                     sampler=SamplerConfig(0.8, 0.95, seed=case["seed"]),
                     max_tokens=len(want),
                 )
-                got = generate(default_model, list(case["prompt"].encode()), cfg).tokens
-                assert got == want, (case["prompt"], mode)
+                res = generate(default_model, list(case["prompt"].encode()), cfg)
+                assert res.tokens == want, (case["prompt"], mode)
+                records += res.records
+            assert records_sha256(records) == case["records_sha256"], case["prompt"]
+
+
+VALID_LINE = '{"step":0,"token":3,"H":0.0,"support":[3],"probs":[1.0],"weights":[1.0],"mode":"standard"}'
+
+# valid V=4 lines, one per mode (the moi one is the frozen worked example)
+FUZZ_LINES = (
+    VALID_LINE,
+    '{"step":1,"token":1,"H":0.5,"support":[0,1],"probs":[0.5,0.5],"weights":[0.5,0.5],"mode":"direct_mixture"}',
+    '{"step":2,"token":0,"H":0.6283898247235197,"support":[0,1,2,3],"probs":[0.7,0.2,0.05,0.05],'
+    '"weights":[0.905741526291472,0.06283898247235197,0.015709745618087993,0.015709745618087993],"mode":"moi"}',
+)
+FUZZ_VALUES = (None, True, False, 0, -1, 7, 2**70, 1.5, float("nan"), float("inf"), "3", "moi", [], [1], [[0.5]], [True], {"a": 1})
+
+
+@st.composite
+def mutated_trace_line(draw):
+    """A valid trace line after one to three mutations: a key dropped, a
+    value or a list item swapped for another JSON type, a value nested in
+    a list, or the line truncated."""
+    obj = json.loads(draw(st.sampled_from(FUZZ_LINES)))
+    values = st.sampled_from(FUZZ_VALUES).map(copy.deepcopy)
+    for _ in range(draw(st.integers(1, 3))):
+        if not obj:
+            break
+        key = draw(st.sampled_from(sorted(obj)))
+        kind = draw(st.sampled_from(("drop", "swap", "swap_item", "nest")))
+        if kind == "drop":
+            del obj[key]
+        elif kind == "swap":
+            obj[key] = draw(values)
+        elif kind == "swap_item" and isinstance(obj[key], list) and obj[key]:
+            obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(values)
+        else:
+            obj[key] = [obj[key]]
+    line = json.dumps(obj)
+    if draw(st.booleans()):
+        line = line[: draw(st.integers(0, len(line)))]
+    return line
 
 
 class TestTraceIO:
@@ -263,12 +323,44 @@ class TestTraceIO:
             '{"step":0,"token":3,"H":0.1,"support":[3,4],"probs":[1.2,-0.2],"weights":[0.6,0.4],"mode":"moi"}',
             '{"step":0,"token":3,"H":0.1,"support":[3,4],"probs":[NaN,1.0],"weights":[0.6,0.4],"mode":"moi"}',
             '{"step":0,"token":3,"H":0.1,"support":[3,4],"probs":[0.5,0.5000001],"weights":[0.6,0.4],"mode":"moi"}',
+            # ids are JSON integers: no float, string or bool is coerced
+            '{"step":0,"token":"255","H":0.0,"support":[255.9],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":1.7,"token":3,"H":0.0,"support":["3"],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":1.7,"token":3,"H":0.0,"support":[3],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":"3","H":0.0,"support":[3],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":3,"H":0.0,"support":[3.0],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":true,"H":0.0,"support":[1],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":1,"H":0.0,"support":[true],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":3,"H":0.0,"support":[3],"probs":["1.0"],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":3,"H":0.0,"support":3,"probs":1.0,"weights":1.0,"mode":"standard"}',
+            '{"step":0,"token":3,"H":0.0,"support":[99999999999999999999],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
         ]
+        path = tmp_path / "ok.jsonl"
+        path.write_text(VALID_LINE + "\n")
+        assert len(read_trace(path)) == 1
         for line in cases:
             path = tmp_path / "case.jsonl"
             path.write_text(line + "\n")
             with pytest.raises(TraceFormatError, match="line 1"):
                 read_trace(path)
+
+
+class TestTraceFuzz:
+    @settings(deadline=None, max_examples=300)
+    @given(line=mutated_trace_line())
+    def test_mutated_line_is_format_error_or_replays(self, tmp_path_factory, line):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_text(line + "\n")
+        try:
+            records = read_trace(path)
+        except TraceFormatError:
+            return
+        for rec in records:
+            try:
+                report = replay_verify([rec], gen_cfg(mode=rec.mode), vocab_size=4)
+            except TraceFormatError:
+                continue
+            assert report.steps == 1
 
 
 class TestReplayVerify:
@@ -315,6 +407,52 @@ class TestReplayVerify:
                              probs=np.array([1.0]), weights=np.array([1.0]), mode="standard")
             with pytest.raises(TraceFormatError, match="outside vocabulary of size 4"):
                 replay_verify([rec], gen_cfg(mode="standard"), vocab_size=4)
+
+    def test_misaligned_or_tokenless_record_is_format_error(self):
+        def rec(**kw):
+            fields = dict(step=0, token=1, entropy=0.5, support=np.array([0, 1]),
+                          probs=np.array([0.5, 0.5]), weights=np.array([0.5, 0.5]), mode="direct_mixture")
+            return StepRecord(**{**fields, **kw})
+
+        cfg = gen_cfg(mode="direct_mixture")
+        assert replay_verify([rec()], cfg, vocab_size=4).passed
+        bad = (
+            rec(probs=np.array([1.0])),
+            rec(weights=np.array([0.5, 0.25, 0.25])),
+            rec(support=np.array([[0, 1]])),
+            rec(token=2),
+            rec(support=np.array([], dtype=np.int64), probs=np.array([]), weights=np.array([])),
+            rec(probs=np.array([0.5, 0.6])),
+        )
+        for r in bad:
+            with pytest.raises(TraceFormatError, match="step 0"):
+                replay_verify([r], cfg, vocab_size=4)
+
+    def test_nan_weight_fails(self):
+        rec = StepRecord(step=0, token=1, entropy=0.5, support=np.array([0, 1]),
+                         probs=np.array([0.5, 0.5]), weights=np.array([0.5, np.nan]), mode="direct_mixture")
+        assert not replay_verify([rec], gen_cfg(mode="direct_mixture"), vocab_size=4).passed
+
+    def test_replay_of_engine_trace_is_exact_at_odd_vocab(self):
+        # np.log and math.log of 9170 differ by one ulp: with one entropy
+        # implementation the engine and replay still agree bit for bit
+        from moi.toy_lm import ModelConfig, init_random
+
+        model = init_random(ModelConfig(vocab=9170, dim=8, heads=2, layers=1, context=40))
+        cfg = GenConfig(mix=MixConfig("moi", 1.0), sampler=SamplerConfig(1.0, 1.0, seed=0), max_tokens=8)
+        res = generate(model, [1, 2, 3], cfg)
+        report = replay_verify(res.records, cfg, vocab_size=9170)
+        assert report.passed
+        assert report.max_entropy_dev == report.max_weight_dev == 0.0
+
+    def test_engine_weights_equal_public_rule_bit_for_bit(self, bench_model):
+        vocab = bench_model.config.vocab
+        for seed in range(4):
+            cfg = gen_cfg(mode="moi", beta=[0.5, 1.0, 3.0, 1e6][seed], seed=seed, max_tokens=16)
+            for rec in generate(bench_model, list(b"the"), cfg).records:
+                want = posterior_mix_weights(rec.support, rec.probs, rec.token, cfg.mix.beta, vocab)
+                assert want.ids.tobytes() == rec.support.tobytes()
+                assert want.weights.tobytes() == rec.weights.tobytes()
 
     def test_hand_written_worked_example(self, tmp_path):
         # the frozen V=4 oracle: p=(0.7,0.2,0.05,0.05), sampled 0, beta 1
