@@ -21,12 +21,13 @@ check is portable and exact at 1e-9.
 
 from __future__ import annotations
 
-import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import mix_core
 from .embedding import lookup, mix
@@ -35,6 +36,11 @@ from .sampler import SamplerConfig, apply_temperature, make_rng, sample_position
 from .toy_lm import DecoderState, Model
 
 PRIOR_SOURCES = ("sampled_dist", "raw_softmax")
+
+
+_TRACE_DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+_INT = frozenset({int})
+_NUMBER = frozenset({int, float})
 
 
 class TraceFormatError(ValueError):
@@ -246,47 +252,71 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
 # ---------------------------------------------------------------------------
 
 
-def _record_to_json(rec: StepRecord) -> str:
-    return json.dumps(
+def _record_to_json(rec: StepRecord) -> bytes:
+    """One trace line, newline included.  The arrays go to orjson as
+    contiguous int64/float64, so a float32 or strided array is written at
+    its float64 value; orjson would write NaN and inf as null, so a
+    non-finite H, prob or weight raises ValueError instead."""
+    support = np.ascontiguousarray(rec.support, dtype=np.int64)
+    probs = np.ascontiguousarray(rec.probs, dtype=np.float64)
+    weights = np.ascontiguousarray(rec.weights, dtype=np.float64)
+    entropy = float(rec.entropy)
+    if not (math.isfinite(entropy) and np.isfinite(probs).all() and np.isfinite(weights).all()):
+        raise ValueError(f"step {rec.step}: non-finite H, probs or weights cannot be written")
+    return orjson.dumps(
         {
             "step": rec.step,
             "token": rec.token,
-            "H": rec.entropy,
-            "support": [int(i) for i in rec.support],
-            "probs": [float(p) for p in rec.probs],
-            "weights": [float(w) for w in rec.weights],
+            "H": entropy,
+            "support": support,
+            "probs": probs,
+            "weights": weights,
             "mode": rec.mode,
-        }
+        },
+        option=_TRACE_DUMPS,
     )
 
 
 def write_trace(result: GenerationResult, path: str | Path) -> None:
-    """One StepRecord per line; floats keep full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One StepRecord per line: compact JSON with shortest round-trip
+    floats.  A record that cannot be written raises ValueError, after the
+    lines before it."""
+    with open(path, "wb") as fh:
         for rec in result.records:
             fh.write(_record_to_json(rec))
-            fh.write("\n")
 
 
 def read_trace(path: str | Path) -> list[StepRecord]:
+    """The StepRecords of a trace file, checked line by line; any line that
+    breaks the schema raises TraceFormatError naming it."""
     records: list[StepRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
             try:
-                # exact JSON types: int() and float() would coerce 1.7, "3" and true
-                if not set(map(type, [obj["step"], obj["token"], *obj["support"]])) <= {int}:
+                support, probs, weights = obj["support"], obj["probs"], obj["weights"]
+                # exact JSON types: int() and float() would coerce 1.7, "3" and
+                # true, and orjson reads an integer beyond 64 bits as a float
+                if not (
+                    type(obj["step"]) is int
+                    and type(obj["token"]) is int
+                    and _INT.issuperset(map(type, support))
+                ):
                     raise TypeError("step, token and support ids must be integers")
-                if not set(map(type, [obj["H"], *obj["probs"], *obj["weights"]])) <= {int, float}:
+                if not (
+                    type(obj["H"]) in _NUMBER
+                    and _NUMBER.issuperset(map(type, probs))
+                    and _NUMBER.issuperset(map(type, weights))
+                ):
                     raise TypeError("H, probs and weights must be numbers")
-                support = np.asarray(obj["support"], dtype=np.int64)
-                probs = np.asarray(obj["probs"], dtype=np.float64)
-                weights = np.asarray(obj["weights"], dtype=np.float64)
+                support = np.asarray(support, dtype=np.int64)
+                probs = np.asarray(probs, dtype=np.float64)
+                weights = np.asarray(weights, dtype=np.float64)
                 rec = StepRecord(
                     step=obj["step"],
                     token=obj["token"],
@@ -308,11 +338,13 @@ def read_trace(path: str | Path) -> list[StepRecord]:
                 raise TraceFormatError(f"line {lineno}: probs: {exc}") from exc
             if not (0.0 <= rec.entropy <= 1.0):
                 raise TraceFormatError(f"line {lineno}: H={rec.entropy} outside [0, 1]")
-            if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
+            # a NaN weight fails both comparisons; check_probs made the arrays nonempty
+            if not (weights.min() >= 0.0 and weights.max() < math.inf):
                 raise TraceFormatError(f"line {lineno}: weights must be finite and non-negative")
-            if np.any(support < 0):
+            ordered = np.sort(support)
+            if ordered[0] < 0:
                 raise TraceFormatError(f"line {lineno}: negative support id")
-            if len(set(support.tolist())) != support.size:
+            if np.any(ordered[1:] == ordered[:-1]):
                 raise TraceFormatError(f"line {lineno}: duplicate support ids")
             if not np.any(support == rec.token):
                 raise TraceFormatError(f"line {lineno}: token {rec.token} not in support")
@@ -361,15 +393,16 @@ def replay_verify(
         expected = mix_core.feedback_weights(rec.mode, p, hits[0], h, cfg.mix.beta)
         h_dev = abs(h - rec.entropy)
         w_dev = float(np.max(np.abs(expected - rec.weights)))
-        max_h = max(max_h, h_dev)
-        max_w = max(max_w, w_dev)
+        # np.maximum keeps a NaN deviation, where max() would drop it
+        max_h = np.maximum(max_h, h_dev)
+        max_w = np.maximum(max_w, w_dev)
         # NaN deviations fail too
         if not (h_dev <= tolerance and w_dev <= tolerance) and first_bad is None:
             first_bad = rec.step
     return ReplayReport(
         passed=first_bad is None,
         steps=len(trace),
-        max_entropy_dev=max_h,
-        max_weight_dev=max_w,
+        max_entropy_dev=float(max_h),
+        max_weight_dev=float(max_w),
         first_failed_step=first_bad,
     )

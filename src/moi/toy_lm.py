@@ -266,30 +266,50 @@ def load_weights(path: str | Path) -> Model:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WeightFormatError(f"malformed header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != "TLM/1":
-        raise WeightFormatError(f"unsupported format marker: {header.get('format')!r}")
+        marker = header.get("format") if isinstance(header, dict) else header
+        raise WeightFormatError(f"unsupported format marker: {marker!r}")
 
+    block = header.get("config")
+    if not isinstance(block, dict) or not all(type(v) is int for v in block.values()):
+        raise WeightFormatError(f"bad config block: expected an object of integers, got {block!r}")
     try:
-        config = ModelConfig(**header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        config = ModelConfig(**block)
+    except (TypeError, ValueError) as exc:
         raise WeightFormatError(f"bad config block: {exc}") from exc
 
-    entries = {e.get("name"): e for e in header.get("tensors", [])}
+    tensors = header.get("tensors", [])
+    if not isinstance(tensors, list) or not all(isinstance(e, dict) and type(e.get("name")) is str for e in tensors):
+        raise WeightFormatError("tensors must be a list of objects with a string name")
+    entries = {e["name"]: e for e in tensors}
+    if len(entries) != len(tensors):
+        raise WeightFormatError("tensor names must be unique")
     expected = _tensor_shapes(config)
     data = raw[newline + 1 :]
     params: dict[str, np.ndarray] = {}
+    spans = []
     for name, shape in expected.items():
         entry = entries.get(name)
         if entry is None:
             raise WeightFormatError(f"tensor {name!r} missing from manifest")
         if entry.get("dtype") != "f32":
             raise WeightFormatError(f"tensor {name!r}: unsupported dtype {entry.get('dtype')!r}")
-        declared = tuple(entry.get("shape", ()))
-        if declared != shape:
-            raise WeightShapeError(f"tensor {name!r}: expected shape {shape}, header declares {declared}")
+        # exact JSON types: int() would truncate an offset of 1.5 and read misaligned bytes
+        declared = entry.get("shape")
+        if type(declared) is not list or not all(type(n) is int for n in declared):
+            raise WeightFormatError(f"tensor {name!r}: shape must be a list of integers, got {declared!r}")
+        if tuple(declared) != shape:
+            raise WeightShapeError(f"tensor {name!r}: expected shape {shape}, header declares {tuple(declared)}")
+        offset = entry.get("offset")
+        if type(offset) is not int or offset < 0:
+            raise WeightFormatError(f"tensor {name!r}: offset must be a non-negative integer, got {offset!r}")
         count = int(np.prod(shape))
-        offset = int(entry.get("offset", -1))
         end = offset + 4 * count
-        if offset < 0 or end > len(data):
+        if end > len(data):
             raise WeightFormatError(f"tensor {name!r}: file truncated (need bytes up to {end}, have {len(data)})")
+        spans.append((offset, end, name))
         params[name] = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
+    spans.sort()
+    for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
+        if start < end:
+            raise WeightFormatError(f"tensor {other!r} at byte {start} overlaps tensor {name!r}, which ends at {end}")
     return Model(config, params)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moi.mix_core import MixConfig, check_probs, posterior_mix_weights
+from moi.mix_core import MixConfig, check_probs, entropy_of, posterior_mix_weights
 from moi.pipeline import (
     GenConfig,
+    GenerationResult,
     StepRecord,
     TraceFormatError,
     generate,
@@ -302,6 +303,64 @@ class TestTraceIO:
             np.testing.assert_array_equal(orig.probs, rt.probs)
             np.testing.assert_array_equal(orig.weights, rt.weights)
 
+    def test_writes_float64_and_int64_values(self, tmp_path):
+        # float32 0.3 and 0.7 sum to exactly 1 in float64; orjson alone
+        # would write them as "0.3" and "0.7"
+        probs = np.array([0.3, 0.7], dtype=np.float32)
+        rec = StepRecord(step=0, token=9, entropy=np.float32(0.1), support=np.array([3, 0, 9, 0])[::2],
+                         probs=probs, weights=np.array([0.1, 0.9], dtype=np.float32), mode="direct_mixture")
+        path = tmp_path / "t.jsonl"
+        write_trace(GenerationResult([9], [rec], 0.0, 0.0, 1), path)
+        (back,) = read_trace(path)
+        assert back.entropy == float(np.float32(0.1))
+        assert back.support.dtype == np.int64 and back.support.tolist() == [3, 9]
+        assert back.probs.tobytes() == probs.astype(np.float64).tobytes()
+        assert back.weights.tobytes() == np.array([0.1, 0.9], dtype=np.float32).astype(np.float64).tobytes()
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        def rec(**kw):
+            fields = dict(step=4, token=1, entropy=0.5, support=np.array([0, 1]),
+                          probs=np.array([0.5, 0.5]), weights=np.array([0.5, 0.5]), mode="direct_mixture")
+            return StepRecord(**{**fields, **kw})
+
+        path = tmp_path / "t.jsonl"
+        for bad in (rec(weights=np.array([np.nan, 0.5])), rec(entropy=np.inf), rec(probs=np.array([0.5, -np.inf]))):
+            with pytest.raises(ValueError, match="step 4"):
+                write_trace(GenerationResult([1], [rec(step=3), bad], 0.0, 0.0, 1), path)
+
+    def test_stdlib_json_interoperates_bit_exactly(self, bench_model, tmp_path):
+        cfg = GenConfig(mix=MixConfig("moi", 1.0), sampler=SamplerConfig(1.0, 1.0, seed=4), max_tokens=12)
+        records = generate(bench_model, list(b"hi"), cfg).records
+        # weights from random finite non-negative bit patterns, then -0.0, the
+        # smallest subnormal, a float stdlib writes as 1e-05 and the largest double
+        bits = np.random.default_rng(0).integers(0, 0x7FF0000000000000, size=4096, dtype=np.uint64)
+        weights = np.concatenate([bits.view(np.float64), [-0.0, 5e-324, 1e-05, 1.7976931348623157e308]])
+        probs = np.zeros(weights.size)
+        probs[7] = 1.0
+        records.append(StepRecord(step=12, token=7, entropy=1e-05, support=np.arange(weights.size),
+                                  probs=probs, weights=weights, mode="standard"))
+        # traces were written this way before orjson: spaced separators, Python float lists
+        old = tmp_path / "old.jsonl"
+        with open(old, "w", encoding="utf-8") as fh:
+            for rec in records:
+                obj = {"step": rec.step, "token": rec.token, "H": rec.entropy,
+                       "support": [int(i) for i in rec.support], "probs": [float(p) for p in rec.probs],
+                       "weights": [float(w) for w in rec.weights], "mode": rec.mode}
+                fh.write(json.dumps(obj) + "\n")
+        assert records_sha256(read_trace(old)) == records_sha256(records)
+
+        new = tmp_path / "new.jsonl"
+        write_trace(GenerationResult([], records, 0.0, 0.0, 1), new)
+        assert new.read_bytes() != old.read_bytes()
+        assert records_sha256(read_trace(new)) == records_sha256(records)
+        for rec, line in zip(records, new.read_bytes().splitlines(), strict=True):
+            obj = json.loads(line)
+            assert (obj["step"], obj["token"], obj["mode"]) == (rec.step, rec.token, rec.mode)
+            assert np.float64(obj["H"]).tobytes() == np.float64(rec.entropy).tobytes()
+            assert np.array(obj["support"], dtype=np.int64).tobytes() == rec.support.tobytes()
+            assert np.array(obj["probs"], dtype=np.float64).tobytes() == rec.probs.tobytes()
+            assert np.array(obj["weights"], dtype=np.float64).tobytes() == rec.weights.tobytes()
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"step":0,"token":1,"H":0.5,"support":[1],"probs":[1.0],"weights":[1.0],"mode":"standard"}\nnot json\n')
@@ -334,23 +393,53 @@ class TestTraceIO:
             '{"step":0,"token":3,"H":0.0,"support":[3],"probs":["1.0"],"weights":[1.0],"mode":"standard"}',
             '{"step":0,"token":3,"H":0.0,"support":3,"probs":1.0,"weights":1.0,"mode":"standard"}',
             '{"step":0,"token":3,"H":0.0,"support":[99999999999999999999],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            # an id above 2**64 parses as a float
+            '{"step":0,"token":3,"H":0.0,"support":[3,18446744073709551616],"probs":[1.0,0.0],"weights":[1.0,0.0],"mode":"standard"}',
+            # JSON has no NaN or infinity
+            '{"step":0,"token":3,"H":0.1,"support":[3,4],"probs":[0.5,0.5],"weights":[Infinity,0.4],"mode":"moi"}',
+            '{"step":0,"token":3,"H":-Infinity,"support":[3],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+            '{"step":0,"token":3,"H":NaN,"support":[3],"probs":[1.0],"weights":[1.0],"mode":"standard"}',
+        ]
+        byte_cases = [
+            b"\xff\xfe{}",  # not UTF-8
+            VALID_LINE.encode()[:-1] + b"\xff}",
+            b"\xef\xbb\xbf" + VALID_LINE.encode(),  # a UTF-8 byte-order mark
         ]
         path = tmp_path / "ok.jsonl"
         path.write_text(VALID_LINE + "\n")
         assert len(read_trace(path)) == 1
-        for line in cases:
+        for line in [c.encode() for c in cases] + byte_cases:
             path = tmp_path / "case.jsonl"
-            path.write_text(line + "\n")
+            path.write_bytes(line + b"\n")
             with pytest.raises(TraceFormatError, match="line 1"):
                 read_trace(path)
+
+
+@st.composite
+def spliced_trace_bytes(draw):
+    """A valid trace line with up to 8 random bytes inserted, or put in
+    place of a slice of it."""
+    line = draw(st.sampled_from(FUZZ_LINES)).encode()
+    start = draw(st.integers(0, len(line)))
+    stop = draw(st.integers(start, min(len(line), start + 8)))
+    return line[:start] + draw(st.binary(min_size=1, max_size=8)) + line[stop:]
 
 
 class TestTraceFuzz:
     @settings(deadline=None, max_examples=300)
     @given(line=mutated_trace_line())
     def test_mutated_line_is_format_error_or_replays(self, tmp_path_factory, line):
+        self.check_reads_or_format_error(tmp_path_factory, line.encode())
+
+    @settings(deadline=None, max_examples=300)
+    @given(line=spliced_trace_bytes())
+    def test_spliced_bytes_are_format_error_or_replay(self, tmp_path_factory, line):
+        self.check_reads_or_format_error(tmp_path_factory, line)
+
+    @staticmethod
+    def check_reads_or_format_error(tmp_path_factory, line: bytes):
         path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
-        path.write_text(line + "\n")
+        path.write_bytes(line + b"\n")
         try:
             records = read_trace(path)
         except TraceFormatError:
@@ -429,9 +518,16 @@ class TestReplayVerify:
                 replay_verify([r], cfg, vocab_size=4)
 
     def test_nan_weight_fails(self):
-        rec = StepRecord(step=0, token=1, entropy=0.5, support=np.array([0, 1]),
-                         probs=np.array([0.5, 0.5]), weights=np.array([0.5, np.nan]), mode="direct_mixture")
-        assert not replay_verify([rec], gen_cfg(mode="direct_mixture"), vocab_size=4).passed
+        # the NaN deviation stays in the summary after a step that replays exactly
+        good = StepRecord(step=1, token=0, entropy=entropy_of(np.array([0.5, 0.5]), 4), support=np.array([0, 1]),
+                          probs=np.array([0.5, 0.5]), weights=np.array([0.5, 0.5]), mode="direct_mixture")
+        for probs, weights in (([0.5, 0.5], [0.5, np.nan]), ([0.6, 0.4], [np.nan, 0.4])):
+            rec = StepRecord(step=0, token=1, entropy=entropy_of(np.array(probs), 4), support=np.array([0, 1]),
+                             probs=np.array(probs), weights=np.array(weights), mode="direct_mixture")
+            report = replay_verify([rec, good], gen_cfg(mode="direct_mixture"), vocab_size=4)
+            assert not report.passed and report.first_failed_step == 0
+            assert np.isnan(report.max_weight_dev) and report.max_entropy_dev == 0.0
+            assert report.summary() == "replay FAIL at step 0: 2 steps, max |dH| = 0.000e+00, max |dw| = nan"
 
     def test_replay_of_engine_trace_is_exact_at_odd_vocab(self):
         # np.log and math.log of 9170 differ by one ulp: with one entropy

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moi
 from moi.toy_lm import (
@@ -141,6 +143,41 @@ class TestWeightFile:
         with pytest.raises(WeightFormatError):
             load_weights(path)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # int() truncated this offset and read the tensor from misaligned bytes
+            (lambda h: h["tensors"][1].update(offset=h["tensors"][1]["offset"] + 1.5), "'pos_emb': offset"),
+            (lambda h: h["tensors"][1].update(offset=h["tensors"][0]["offset"]), "'pos_emb' at byte 0 overlaps tensor 'tok_emb'"),
+            (lambda h: h["tensors"][2].update(offset=h["tensors"][1]["offset"] + 4), "'ln1_g' at byte .* overlaps tensor 'pos_emb'"),
+            (lambda h: h["tensors"][0].update(shape=5), "'tok_emb': shape must be a list"),
+            (lambda h: h["tensors"][0].update(shape=[48.0, 32]), "'tok_emb': shape must be a list"),
+            (lambda h: h["tensors"][3].update(offset="x"), "'ln1_b': offset"),
+            (lambda h: h["tensors"][3].update(offset=-4), "'ln1_b': offset"),
+            (lambda h: h["tensors"].append(1), "tensors must be a list of objects"),
+            (lambda h: h["tensors"].append(dict(h["tensors"][0])), "names must be unique"),
+            (lambda h: h["config"].update(vocab=8.7), "bad config block"),
+        ],
+        ids=["fractional_offset", "same_offset", "overlap", "int_shape", "float_dim", "string_offset",
+             "negative_offset", "non_object_tensor", "repeated_name", "fractional_vocab"],
+    )
+    def test_bad_manifest_is_format_error(self, small_model, tmp_path, edit, match):
+        path = tmp_path / "m.tlm"
+        save_weights(small_model, path)
+        raw = path.read_bytes()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + raw[nl + 1 :])
+        with pytest.raises(WeightFormatError, match=match):
+            load_weights(path)
+
+    def test_non_object_header_is_format_error(self, tmp_path):
+        path = tmp_path / "m.tlm"
+        path.write_bytes(b"[1]\n")
+        with pytest.raises(WeightFormatError, match="format marker"):
+            load_weights(path)
+
     def test_missing_tensor(self, small_model, tmp_path):
         path = tmp_path / "m.tlm"
         save_weights(small_model, path)
@@ -152,6 +189,53 @@ class TestWeightFile:
             fh.write(json.dumps(header).encode() + b"\n" + raw[nl + 1 :])
         with pytest.raises(WeightFormatError, match="missing"):
             load_weights(tmp_path / "bad.tlm")
+
+
+WEIGHT_FUZZ_VALUES = (None, True, 0, -1, 7, 2**70, 1.5, "3", "f32", "tok_emb", [], [1], [4, 4], {"a": 1})
+
+
+@pytest.fixture(scope="session")
+def tiny_weight_file(tmp_path_factory):
+    """A tiny model, the header line of its TLM/1 file and the bytes after it."""
+    model = init_random(ModelConfig(vocab=4, dim=4, heads=1, layers=1, context=4, init_seed=3))
+    path = tmp_path_factory.mktemp("tiny") / "m.tlm"
+    save_weights(model, path)
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    return model, raw[:nl], raw[nl + 1 :]
+
+
+class TestWeightFileFuzz:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_mutated_header_is_format_error_or_same_weights(self, tiny_weight_file, tmp_path_factory, data):
+        # one to three mutations of the header, its config or a tensor entry:
+        # a key dropped, its value swapped for another JSON value or nested
+        model, header_line, payload = tiny_weight_file
+        header = json.loads(header_line)
+        for _ in range(data.draw(st.integers(1, 3))):
+            tensors = header.get("tensors")
+            entries = tensors if isinstance(tensors, list) else []
+            obj = data.draw(st.sampled_from([header, header.get("config"), *entries]))
+            if not isinstance(obj, dict) or not obj:
+                continue
+            key = data.draw(st.sampled_from(sorted(obj)))
+            kind = data.draw(st.sampled_from(("drop", "swap", "nest")))
+            if kind == "drop":
+                del obj[key]
+            elif kind == "swap":
+                obj[key] = data.draw(st.sampled_from(WEIGHT_FUZZ_VALUES))
+            else:
+                obj[key] = [obj[key]]
+        path = tmp_path_factory.getbasetemp() / "fuzz.tlm"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        try:
+            loaded = load_weights(path)
+        except WeightFormatError:
+            return
+        # no silent load: whatever loads holds the saved tensors
+        for name in TENSOR_ORDER:
+            assert loaded.params[name].tobytes() == model.params[name].tobytes()
 
 
 class TestForwardStep:
