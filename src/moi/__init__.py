@@ -12,7 +12,6 @@ from .mix_core import (
     MixingWeights,
     direct_mix_weights,
     normalized_entropy,
-    one_hot_weights,
     posterior_mix_weights,
 )
 from .pipeline import (
@@ -26,7 +25,7 @@ from .pipeline import (
     replay_verify,
     write_trace,
 )
-from .sampler import SamplerConfig, TruncatedDistribution, apply_temperature, make_rng, sample_categorical, top_p_truncate
+from .sampler import SamplerConfig, TruncatedDistribution, apply_temperature, make_rng, top_p_truncate
 from .toy_lm import Model, ModelConfig, init_random, load_weights, save_weights
 
 __version__ = "0.1.0"
@@ -53,12 +52,10 @@ __all__ = [
     "make_rng",
     "mix_embeddings",
     "normalized_entropy",
-    "one_hot_weights",
     "posterior_mix_weights",
     "prefill",
     "read_trace",
     "replay_verify",
-    "sample_categorical",
     "save_weights",
     "top_p_truncate",
     "write_trace",

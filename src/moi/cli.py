@@ -21,6 +21,18 @@ from .sampler import SamplerConfig
 _MODE_ALIASES = {"standard": "standard", "direct": "direct_mixture", "moi": "moi"}
 # environment variables that set the BLAS thread count; `moi bench` prints them
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the exact JSON type of each grid config field, as (list depth, item
+# types): int() would truncate a budget of 2.9, and frozenset("ab") would
+# make stop tokens of characters that never match a token id
+_GRID_FIELDS = {
+    "budget": (0, {int}), "stop_tokens": (1, {int}), "seeds": (1, {int}), "prompt_ids": (2, {int}),
+    "prompts": (1, {str}), "modes": (1, {str}),
+    "betas": (1, {int, float}), "top_ps": (1, {int, float}), "temperatures": (1, {int, float}),
+}
+
+
+class ConfigError(ValueError):
+    """Raised when a grid config field has the wrong JSON type."""
 
 
 def _seed_from_env(seed: int) -> int:
@@ -34,8 +46,6 @@ def _gen_config(args, mode: str, seed: int) -> pipeline.GenConfig:
         sampler=SamplerConfig(temperature=args.temperature, top_p=args.top_p, seed=seed),
         max_tokens=args.max_tokens,
         stop_tokens=frozenset(args.stop_token or ()),
-        prior_source=args.prior_source,
-        special_passthrough=not args.no_special_passthrough,
     )
 
 
@@ -68,7 +78,27 @@ def cmd_init_model(args) -> int:
     return 0
 
 
+def _has_json_type(value, depth: int, types: set) -> bool:
+    if depth == 0:
+        return type(value) in types
+    return type(value) is list and all(_has_json_type(v, depth - 1, types) for v in value)
+
+
+def _check_grid_fields(obj: dict) -> None:
+    """ConfigError naming the first field of `obj` whose JSON type is wrong."""
+    for key, (depth, types) in _GRID_FIELDS.items():
+        if key in obj and not _has_json_type(obj[key], depth, types):
+            kind = "list of " * depth + " or ".join(sorted(t.__name__ for t in types))
+            raise ConfigError(f"grid config field {key!r} must be {kind}, got {obj[key]!r}")
+
+
+def _reject_constant(literal: str):
+    # json.load would read NaN and Infinity, which are not JSON numbers
+    raise ConfigError(f"grid config: {literal} is not a JSON number")
+
+
 def _task_from_json(obj: dict) -> experiments.TaskSpec:
+    _check_grid_fields(obj)
     kind = obj.get("kind", "greedy_recovery")
     if kind == "external_scorer":
         raise ValueError(
@@ -76,30 +106,31 @@ def _task_from_json(obj: dict) -> experiments.TaskSpec:
             "(pass a scorer callable to TaskSpec)"
         )
     if "prompt_ids" in obj:
-        prompts = [tuple(int(t) for t in p) for p in obj["prompt_ids"]]
+        prompts = obj["prompt_ids"]
     else:
-        prompts = [tuple(_prompt_ids(p)) for p in obj.get("prompts", [])]
+        prompts = [_prompt_ids(p) for p in obj.get("prompts", [])]
     return experiments.TaskSpec(
         model=obj["model"],
-        prompts=tuple(prompts),
-        budget=int(obj.get("budget", 16)),
+        prompts=prompts,
+        budget=obj.get("budget", 16),
         kind=kind,
-        stop_tokens=frozenset(obj.get("stop_tokens", ())),
+        stop_tokens=obj.get("stop_tokens", ()),
     )
 
 
 def cmd_grid(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "task" not in obj:
-        raise ValueError(f"{args.config}: grid config needs a 'task' block")
+        obj = json.load(fh, parse_constant=_reject_constant)
+    if type(obj) is not dict or type(obj.get("task")) is not dict:
+        raise ConfigError(f"{args.config}: grid config needs a 'task' object")
+    _check_grid_fields(obj)
     spec = experiments.GridSpec(
         task=_task_from_json(obj["task"]),
-        betas=tuple(obj.get("betas", experiments.DEFAULT_BETAS)),
-        top_ps=tuple(obj.get("top_ps", experiments.DEFAULT_TOP_PS)),
-        temperatures=tuple(obj.get("temperatures", experiments.DEFAULT_TEMPERATURES)),
-        modes=tuple(obj.get("modes", ("moi",))),
-        seeds=tuple(obj.get("seeds", experiments.DEFAULT_SEEDS)),
+        betas=obj.get("betas", experiments.DEFAULT_BETAS),
+        top_ps=obj.get("top_ps", experiments.DEFAULT_TOP_PS),
+        temperatures=obj.get("temperatures", experiments.DEFAULT_TEMPERATURES),
+        modes=obj.get("modes", ("moi",)),
+        seeds=obj.get("seeds", experiments.DEFAULT_SEEDS),
     )
     table = experiments.run_grid(spec, out_path=args.out, jobs=args.jobs, measure_rate=args.timing)
     failures = sum(1 for row in table.rows if math.isnan(row.score))
@@ -228,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tokens", dest="max_tokens", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="write a JSONL trace here")
-    p.add_argument("--prior-source", dest="prior_source",
-                   choices=pipeline.PRIOR_SOURCES, default="sampled_dist")
-    p.add_argument("--no-special-passthrough", action="store_true")
     p.add_argument("--stop-token", type=int, action="append", default=None)
     p.set_defaults(func=cmd_generate)
 

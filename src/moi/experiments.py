@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mix_core import MixConfig
+from .mix_core import MODES, MixConfig
 from .pipeline import GenConfig, Prefill, check_prompt, generate, prefill, start_state
 from .sampler import SamplerConfig
 from .toy_lm import Model, load_weights
@@ -332,26 +332,35 @@ def save_results(table: ResultsTable, path: str | Path) -> None:
             writer.writerow(_row_to_csv(row))
 
 
+class ResultsFormatError(ValueError):
+    """Raised when a results CSV breaks the format; names the line."""
+
+
 def load_results(path: str | Path) -> ResultsTable:
     table = ResultsTable()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != RESULTS_HEADER:
-            raise ValueError(f"unexpected results header: {header}")
+            raise ResultsFormatError(f"line 1: unexpected results header: {header}")
         for fields in reader:
-            mode, beta, top_p, temperature, seed, score, rate = fields
-            table.rows.append(
-                TrialRow(
-                    mode=mode,
-                    beta=float(beta),
-                    top_p=float(top_p),
-                    temperature=float(temperature),
-                    seed=int(seed),
-                    score=math.nan if score == "error" else float(score),
-                    tokens_per_s=None if rate == "" else float(rate),
+            try:
+                mode, beta, top_p, temperature, seed, score, rate = fields
+                if mode not in MODES:
+                    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+                table.rows.append(
+                    TrialRow(
+                        mode=mode,
+                        beta=float(beta),
+                        top_p=float(top_p),
+                        temperature=float(temperature),
+                        seed=int(seed),
+                        score=math.nan if score == "error" else float(score),
+                        tokens_per_s=None if rate == "" else float(rate),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ResultsFormatError(f"line {reader.line_num}: {exc}") from exc
     return table
 
 

@@ -2,12 +2,15 @@
 
 One numpy backend, float64 throughout; repeated runs are bit-identical.
 
-Kernel conventions: parameter stacks carry the layer index first
-(e.g. ``w_att`` is (layers, d, 3d)); the KV caches are head-major,
-(layers, heads, context, head_dim), and are written in place at the
-current position, so each head's cached keys and values are contiguous
-and attention is two batched matmuls over the heads.  Attention softmax
-and layer norm use max subtraction and a fixed 1e-5 epsilon.
+Kernel conventions: the model's tensors arrive as one parameter record,
+a tuple of float64 arrays in ``toy_lm.TENSOR_ORDER`` that the model
+builds once.  Parameter stacks carry the layer index first (e.g.
+``w_att`` is (layers, d, 3d)).  The KV caches are head-major,
+(layers, heads, capacity, head_dim), and their shape is the one source
+of the layer and head counts.  They are written in place at the current
+position, so each head's cached keys and values are contiguous and
+attention is two batched matmuls over the heads.  Attention softmax and
+layer norm use max subtraction and a fixed 1e-5 epsilon.
 """
 
 from __future__ import annotations
@@ -33,36 +36,18 @@ def _gelu_np(x):
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x * x * x)))
 
 
-def decode_step(
-    x,
-    pos,
-    pos_emb,
-    ln1_g,
-    ln1_b,
-    w_att,
-    b_att,
-    w_proj,
-    b_proj,
-    ln2_g,
-    ln2_b,
-    w_fc,
-    b_fc,
-    w_out,
-    b_out,
-    lnf_g,
-    lnf_b,
-    tok_emb,
-    n_heads,
-    k_cache,
-    v_cache,
-):
+def decode_step(x, pos, params, k_cache, v_cache):
     """Feed `x` at position `pos`; return next-token logits.
 
+    `params` is the model's float64 tensors in `toy_lm.TENSOR_ORDER`.
     Writes this position's keys and values into the head-major caches
-    `k_cache` and `v_cache` (layers, heads, context, head_dim).
+    `k_cache` and `v_cache` (layers, heads, capacity, head_dim), whose
+    shape gives the layer and head counts.
     """
-    layers, _, d = w_proj.shape
-    head_dim = d // n_heads
+    (tok_emb, pos_emb, ln1_g, ln1_b, w_att, b_att, w_proj, b_proj,
+     ln2_g, ln2_b, w_fc, b_fc, w_out, b_out, lnf_g, lnf_b) = params
+    layers, n_heads, _, head_dim = k_cache.shape
+    d = x.shape[0]
     scale = 1.0 / math.sqrt(head_dim)
 
     h = x + pos_emb[pos]

@@ -15,7 +15,8 @@ and the distribution used verbatim.
 
 Each step has one implementation: the unchecked cores `entropy_of` and
 `feedback_weights`, shared by the decode loop, trace replay and the
-public functions, which validate their input and then call them.
+public functions, which validate their input, call them and return a
+`MixingWeights`, whose constructor always checks the weights.
 
 All probability math is float64.  Distributions are handled sparsely as
 (token id, probability) pairs with implicit zeros; the entropy normalizer
@@ -47,16 +48,6 @@ class MixConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not (self.beta > 0.0):
             raise ValueError(f"beta must be positive, got {self.beta}")
-
-
-def built_valid(cls, **fields):
-    """An instance of the frozen dataclass `cls` without its __post_init__
-    checks, for values the caller has just validated or built valid by
-    construction (so each path validates once)."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -189,9 +180,7 @@ def posterior_mix_weights(
     else:
         # a zero-probability entry for it at the end: the same float ops
         ids, p, pos = np.append(ids, sampled), np.append(p, 0.0), ids.size
-    w = feedback_weights("moi", p, pos, h, beta)
-    # non-negative (h <= 1 < beta + 1) and summing to 1: valid as built
-    return built_valid(MixingWeights, ids=ids, weights=w)
+    return MixingWeights(ids, feedback_weights("moi", p, pos, h, beta))
 
 
 def direct_mix_weights(ids: np.ndarray, probs: np.ndarray) -> MixingWeights:
@@ -200,12 +189,4 @@ def direct_mix_weights(ids: np.ndarray, probs: np.ndarray) -> MixingWeights:
     p = check_probs(probs)
     if ids.shape != p.shape:
         raise ValueError("ids and weights must be aligned 1-D arrays")
-    return built_valid(MixingWeights, ids=ids, weights=feedback_weights("direct_mixture", p, 0, 0.0, 1.0))
-
-
-def one_hot_weights(sampled: int, vocab_size: int) -> MixingWeights:
-    """Baseline: all weight on the sampled token (conventional feedback)."""
-    sampled = int(sampled)
-    if not (0 <= sampled < vocab_size):
-        raise IndexError(f"token {sampled} outside vocabulary of size {vocab_size}")
-    return built_valid(MixingWeights, ids=np.array([sampled], dtype=np.int64), weights=np.array([1.0]))
+    return MixingWeights(ids, feedback_weights("direct_mixture", p, 0, 0.0, 1.0))

@@ -35,9 +35,6 @@ from .mix_core import MixConfig
 from .sampler import SamplerConfig, apply_temperature, make_rng, sample_position, top_p_truncate
 from .toy_lm import DecoderState, Model
 
-PRIOR_SOURCES = ("sampled_dist", "raw_softmax")
-
-
 _TRACE_DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 _INT = frozenset({int})
 _NUMBER = frozenset({int, float})
@@ -53,17 +50,11 @@ class GenConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     max_tokens: int = 64
     stop_tokens: frozenset = frozenset()
-    prior_source: str = "sampled_dist"
-    special_passthrough: bool = True
-    special_tokens: frozenset = frozenset()
 
     def __post_init__(self):
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.prior_source not in PRIOR_SOURCES:
-            raise ValueError(f"prior_source must be one of {PRIOR_SOURCES}, got {self.prior_source!r}")
         object.__setattr__(self, "stop_tokens", frozenset(self.stop_tokens))
-        object.__setattr__(self, "special_tokens", frozenset(self.special_tokens))
 
 
 @dataclass(frozen=True)
@@ -71,9 +62,9 @@ class StepRecord:
     """Audit record for one decode step.
 
     `weights` is aligned with `support` (one weight per support id, zeros
-    implied elsewhere).  `mode` is the feedback rule actually applied:
-    passthrough steps under a mixing mode are recorded as "standard" so
-    replay can reproduce them.
+    implied elsewhere).  `mode` is the feedback rule actually applied: a
+    stop step under a mixing mode is recorded as "standard", with one-hot
+    weights, so replay can reproduce it.
     """
 
     step: int
@@ -178,7 +169,8 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     `prompt` is a nonempty sequence of token ids; prompt positions are fed
     as plain embedding rows (mixing applies only to generated positions).
     Generation stops after `cfg.max_tokens` tokens or right after a stop
-    token is emitted; a stop token is recorded but never fed back.
+    token is emitted; a stop token is recorded, in mode "standard" with
+    one-hot weights, but never fed back.
 
     `prefix`, from `prefill(model, prompt)`, skips running the prompt: the
     loop starts from a fork of its state and its logits, with the same
@@ -201,23 +193,16 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     prefill_seconds = time.perf_counter() - t0
 
     matrix = model.embedding_table.matrix
-    passthrough = cfg.stop_tokens | cfg.special_tokens if cfg.special_passthrough else frozenset()
     tokens: list[int] = []
     records: list[StepRecord] = []
     t1 = time.perf_counter()
     for step in range(cfg.max_tokens):
-        dense = apply_temperature(logits, cfg.sampler.temperature)
-        trunc = top_p_truncate(dense, cfg.sampler.top_p)
+        trunc = top_p_truncate(apply_temperature(logits, cfg.sampler.temperature), cfg.sampler.top_p)
         pos = sample_position(trunc, rng)
-        token = int(trunc.ids[pos])
-
-        if cfg.prior_source == "sampled_dist":
-            ids, probs = trunc.ids, trunc.probs
-        else:
-            ids, probs = np.arange(vocab, dtype=np.int64), dense
-            pos = token
+        ids, probs = trunc
+        token = int(ids[pos])
         entropy = mix_core.entropy_of(probs, vocab)
-        applied_mode = "standard" if token in passthrough else cfg.mix.mode
+        applied_mode = "standard" if token in cfg.stop_tokens else cfg.mix.mode
         weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, cfg.mix.beta)
 
         tokens.append(token)
@@ -361,7 +346,7 @@ def replay_verify(
     """Recompute entropy and weights from each recorded distribution.
 
     The recorded `mode` must match `cfg.mix.mode`, except that "standard"
-    records are always admissible (stop/special passthrough steps).  The
+    records are always admissible (stop steps record them).  The
     trace schema does not carry the vocabulary size, so the entropy
     normalizer's `vocab_size` is a parameter here.  Replay runs the
     engine's own `entropy_of` and `feedback_weights` on the support-aligned

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .mix_core import built_valid, check_probs
+from .mix_core import check_probs
 
 
 @dataclass(frozen=True)
@@ -31,21 +32,14 @@ class SamplerConfig:
             raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
 
 
-@dataclass(frozen=True)
-class TruncatedDistribution:
-    """Nucleus-kept token set: support ordered by descending probability
-    (ties by ascending token id), probabilities renormalized over it."""
+class TruncatedDistribution(NamedTuple):
+    """Nucleus-kept token set, as `top_p_truncate` returns it: int64 support
+    ordered by descending probability (ties by ascending token id) and the
+    float64 probabilities renormalized over it.  Not checked on
+    construction; `top_p_truncate` checks the distribution it truncates."""
 
     ids: np.ndarray
     probs: np.ndarray
-    full_vocab: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-        if self.ids.size == 0:
-            raise ValueError("support must be nonempty")
-        check_probs(self.probs)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -89,10 +83,8 @@ def top_p_truncate(probs: np.ndarray, top_p: float) -> TruncatedDistribution:
     while keep > 1 and sorted_p[keep - 1] <= 0.0:
         keep -= 1
 
-    ids = order[:keep]
     kept = sorted_p[:keep]
-    # a nonempty, renormalized prefix of a checked distribution: valid as built
-    return built_valid(TruncatedDistribution, ids=ids, probs=kept / kept.sum(), full_vocab=p.size)
+    return TruncatedDistribution(order[:keep], kept / kept.sum())
 
 
 def sample_position(dist: TruncatedDistribution, rng: np.random.Generator) -> int:
@@ -107,8 +99,3 @@ def sample_position(dist: TruncatedDistribution, rng: np.random.Generator) -> in
     if pos >= dist.ids.size:  # u landed beyond the last cumsum by drift
         pos = dist.ids.size - 1
     return pos
-
-
-def sample_categorical(dist: TruncatedDistribution, rng: np.random.Generator) -> int:
-    """Draw one token id by inverse CDF over the ordered support."""
-    return int(dist.ids[sample_position(dist, rng)])

@@ -152,8 +152,8 @@ class Model:
         self.config = config
         self.params = {name: np.asarray(params[name], dtype=np.float32) for name in shapes}
         self.embedding_table = EmbeddingTable(self.params["tok_emb"])
-        # float64 working copies; the kernels sum in double precision
-        self._p64 = tuple(self.params[name].astype(np.float64) for name in TENSOR_ORDER)
+        # the kernel's parameter record: float64 working copies in TENSOR_ORDER
+        self.kernel_params = tuple(self.params[name].astype(np.float64) for name in TENSOR_ORDER)
 
     def new_state(self, capacity: int | None = None) -> DecoderState:
         """An empty state with room for `capacity` positions (default and
@@ -179,14 +179,7 @@ class Model:
         x = np.ascontiguousarray(np.asarray(input_vec, dtype=np.float64))
         if x.shape != (cfg.dim,):
             raise ValueError(f"input vector must have shape ({cfg.dim},), got {x.shape}")
-        (tok_emb, pos_emb, ln1_g, ln1_b, w_att, b_att, w_proj, b_proj,
-         ln2_g, ln2_b, w_fc, b_fc, w_out, b_out, lnf_g, lnf_b) = self._p64
-        logits = kernels.decode_step(
-            x, state.length, pos_emb,
-            ln1_g, ln1_b, w_att, b_att, w_proj, b_proj,
-            ln2_g, ln2_b, w_fc, b_fc, w_out, b_out, lnf_g, lnf_b,
-            tok_emb, cfg.heads, state.k_cache, state.v_cache,
-        )
+        logits = kernels.decode_step(x, state.length, self.kernel_params, state.k_cache, state.v_cache)
         state.length += 1
         return logits
 

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from moi import cli
+
 CLI = [sys.executable, "-m", "moi.cli"]
 
 
@@ -162,6 +164,44 @@ class TestGrid:
         proc = run_cli("grid", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"))
         assert proc.returncode == 1
         assert "external_scorer" in proc.stderr
+
+
+class TestGridConfigTypes:
+    # each of these was once coerced silently or raised a bare TypeError
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stop_tokens", "ab"), ("budget", 2.9), ("prompt_ids", [[1, 2.7, True]]), ("betas", 1)],
+    )
+    def test_wrong_type_exits_1_naming_field(self, field, value, tmp_path, capsys):
+        config = {"task": {"model": "model.tlm", "prompts": ["ab"]}}
+        (config if field == "betas" else config["task"])[field] = value
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+        assert f"error: grid config field {field!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_nan_and_infinity_literals_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "grid.json"
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            cfg_path.write_text('{"task": {"model": "model.tlm", "prompts": ["ab"]}, "temperatures": [%s]}' % literal)
+            assert cli.main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+            assert f"error: grid config: {literal} is not a JSON number" in capsys.readouterr().err
+
+    def test_each_field_type_checked_exactly(self):
+        bad = {
+            "budget": True, "stop_tokens": [1.0], "seeds": [False], "prompt_ids": [1, 2], "prompts": "ab",
+            "modes": [["moi"]], "betas": ["1"], "top_ps": [None], "temperatures": [0.6, [1.0]],
+        }
+        assert set(bad) == set(cli._GRID_FIELDS)
+        for field, value in bad.items():
+            with pytest.raises(cli.ConfigError, match=repr(field)):
+                cli._check_grid_fields({field: value})
+
+    def test_valid_task_loads_unchanged(self):
+        spec = cli._task_from_json({"model": "m.tlm", "prompt_ids": [[1, 2]], "budget": 3, "stop_tokens": [7]})
+        assert (spec.prompts, spec.budget, spec.stop_tokens) == (((1, 2),), 3, frozenset({7}))
+        assert cli._task_from_json({"model": "m.tlm", "prompts": ["ab"]}).prompts == ((97, 98),)
 
 
 class TestBestOfN:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moi.embedding import EmbeddingTable, lookup, mix_embeddings
-from moi.mix_core import MixingWeights, one_hot_weights, posterior_mix_weights
+from moi.mix_core import MixingWeights, posterior_mix_weights
 
 
 def table_from(rows) -> EmbeddingTable:
@@ -40,7 +40,7 @@ class TestLookup:
 class TestMixEmbeddings:
     def test_one_hot_is_lookup_bit_exact(self, random_table):
         for i in range(random_table.vocab):
-            mixed = mix_embeddings(random_table, one_hot_weights(i, random_table.vocab))
+            mixed = mix_embeddings(random_table, MixingWeights(ids=np.array([i]), weights=np.array([1.0])))
             np.testing.assert_array_equal(mixed, lookup(random_table, i))
             assert mixed.dtype == np.float32
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from moi.experiments import (
+    RESULTS_HEADER,
     GridSpec,
+    ResultsFormatError,
     ResultsTable,
     TaskSpec,
     TrialRow,
@@ -258,6 +260,20 @@ class TestRunGrid:
         save_results(table, tmp_path / "r.csv")
         back = load_results(tmp_path / "r.csv")
         assert back.rows == table.rows
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("moi,1.0,0.9,0.7,0,0.5", "line 3: not enough values to unpack"),
+            ("moi,x,0.9,0.7,0,0.5,", "line 3: could not convert string to float: 'x'"),
+            ("bogus,1.0,0.9,0.7,0,0.5,", "line 3: unknown mode 'bogus'"),
+        ],
+    )
+    def test_bad_results_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{','.join(RESULTS_HEADER)}\nmoi,1.0,0.9,0.7,0,error,\n{row}\n")
+        with pytest.raises(ResultsFormatError, match=message):
+            load_results(path)
 
 
 class TestBestOfN:

@@ -12,16 +12,6 @@ import moi
 from moi import kernels
 from moi.toy_lm import TENSOR_ORDER
 
-_KERNEL_TENSORS = (
-    "pos_emb", "ln1_g", "ln1_b", "w_att", "b_att", "w_proj", "b_proj",
-    "ln2_g", "ln2_b", "w_fc", "b_fc", "w_out", "b_out", "lnf_g", "lnf_b", "tok_emb",
-)
-
-
-def _kernel_args(model):
-    p64 = {name: model.params[name].astype(np.float64) for name in TENSOR_ORDER}
-    return tuple(p64[n] for n in _KERNEL_TENSORS)
-
 
 def _reference_layer_norm(x, gain, bias):
     mean = x.mean()
@@ -29,18 +19,17 @@ def _reference_layer_norm(x, gain, bias):
     return gain * ((x - mean) / math.sqrt(var + kernels.LN_EPS)) + bias
 
 
-def _reference_decode_step(x, pos, pos_emb, ln1_g, ln1_b, w_att, b_att, w_proj, b_proj,
-                           ln2_g, ln2_b, w_fc, b_fc, w_out, b_out, lnf_g, lnf_b, tok_emb,
-                           n_heads, k_cache, v_cache):
+def _reference_decode_step(x, pos, t, n_heads, k_cache, v_cache):
     """The decode step over a position-major cache (layers, context, d),
-    with attention as two einsums."""
-    layers, _, d = w_proj.shape
+    with attention as two einsums; `t` maps each tensor name to its
+    float64 array."""
+    layers, _, d = t["w_proj"].shape
     head_dim = d // n_heads
     scale = 1.0 / math.sqrt(head_dim)
-    h = x + pos_emb[pos]
+    h = x + t["pos_emb"][pos]
     for layer in range(layers):
-        normed = _reference_layer_norm(h, ln1_g[layer], ln1_b[layer])
-        qkv = normed @ w_att[layer] + b_att[layer]
+        normed = _reference_layer_norm(h, t["ln1_g"][layer], t["ln1_b"][layer])
+        qkv = normed @ t["w_att"][layer] + t["b_att"][layer]
         k_cache[layer, pos] = qkv[d : 2 * d]
         v_cache[layer, pos] = qkv[2 * d :]
         q_h = qkv[:d].reshape(n_heads, head_dim)
@@ -51,17 +40,17 @@ def _reference_decode_step(x, pos, pos_emb, ln1_g, ln1_b, w_att, b_att, w_proj, 
         att = np.exp(scores)
         att /= att.sum(axis=1, keepdims=True)
         ctx = np.einsum("ht,thd->hd", att, v_h).reshape(d)
-        h = h + ctx @ w_proj[layer] + b_proj[layer]
-        normed = _reference_layer_norm(h, ln2_g[layer], ln2_b[layer])
-        pre = normed @ w_fc[layer] + b_fc[layer]
+        h = h + ctx @ t["w_proj"][layer] + t["b_proj"][layer]
+        normed = _reference_layer_norm(h, t["ln2_g"][layer], t["ln2_b"][layer])
+        pre = normed @ t["w_fc"][layer] + t["b_fc"][layer]
         inner = 0.5 * pre * (1.0 + np.tanh(0.7978845608028654 * (pre + 0.044715 * pre * pre * pre)))
-        h = h + inner @ w_out[layer] + b_out[layer]
-    return tok_emb @ _reference_layer_norm(h, lnf_g, lnf_b)
+        h = h + inner @ t["w_out"][layer] + t["b_out"][layer]
+    return t["tok_emb"] @ _reference_layer_norm(h, t["lnf_g"], t["lnf_b"])
 
 
 def test_decode_step_matches_position_major_reference(small_model):
     cfg = small_model.config
-    args = _kernel_args(small_model)
+    by_name = {name: small_model.params[name].astype(np.float64) for name in TENSOR_ORDER}
     head_dim = cfg.dim // cfg.heads
     ref_k, ref_v = np.zeros((2, cfg.layers, cfg.context, cfg.dim))
     state = small_model.new_state()
@@ -69,8 +58,8 @@ def test_decode_step_matches_position_major_reference(small_model):
     rng = np.random.Generator(np.random.PCG64(0))
     for pos in range(cfg.context):
         x = rng.normal(0, 0.5, size=cfg.dim)
-        want = _reference_decode_step(x, pos, *args, cfg.heads, ref_k, ref_v)
-        got = kernels.decode_step(x, pos, *args, cfg.heads, state.k_cache, state.v_cache)
+        want = _reference_decode_step(x, pos, by_name, cfg.heads, ref_k, ref_v)
+        got = kernels.decode_step(x, pos, small_model.kernel_params, state.k_cache, state.v_cache)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"position {pos}")
     for ref, cache in ((ref_k, state.k_cache), (ref_v, state.v_cache)):
         head_major = ref.reshape(cfg.layers, cfg.context, cfg.heads, head_dim).transpose(0, 2, 1, 3)

@@ -19,8 +19,8 @@ from moi.mix_core import (
     MixConfig,
     MixingWeights,
     direct_mix_weights,
+    feedback_weights,
     normalized_entropy,
-    one_hot_weights,
     posterior_mix_weights,
 )
 
@@ -45,6 +45,11 @@ def brute_force_posterior(probs: np.ndarray, sampled: int, beta: float, vocab: i
 
 def random_dist(rng, vocab: int) -> np.ndarray:
     return rng.dirichlet(np.ones(vocab))
+
+
+def one_hot(token: int) -> MixingWeights:
+    """All weight on `token`: the conventional (standard) feedback."""
+    return MixingWeights(ids=np.array([token]), weights=np.array([1.0]))
 
 
 class TestNormalizedEntropy:
@@ -184,31 +189,34 @@ class TestBaselineWeights:
             np.testing.assert_array_equal(direct_mix_weights(IDS4, p).to_dense(4), p)
 
     def test_one_hot(self):
-        assert one_hot_weights(3, 8).to_dense(8)[3] == 1.0
-        assert one_hot_weights(0, 2).to_dense(2)[0] == 1.0
-        w = one_hot_weights(7, 8)
-        assert w.ids.tolist() == [7] and w.weights.tolist() == [1.0]
+        # the standard rule: one-hot at the sampled token's support position
+        for p in (np.full(4, 0.25), np.array([0.0, 0.0, 1.0, 0.0]), ORACLE_P):
+            for pos in range(4):
+                w = feedback_weights("standard", p, pos, normalized_entropy(p, 4), 1.0)
+                np.testing.assert_array_equal(w, np.eye(4)[pos])
+        assert one_hot(7).to_dense(8).tolist() == np.eye(8)[7].tolist()
 
     def test_one_hot_out_of_range(self):
-        with pytest.raises(IndexError):
-            one_hot_weights(8, 8)
-        with pytest.raises(IndexError):
-            one_hot_weights(-1, 8)
+        from moi.embedding import EmbeddingTable, mix_embeddings
+
+        table = EmbeddingTable(np.zeros((8, 2), dtype=np.float32))
+        for token in (8, -1):
+            with pytest.raises(IndexError):
+                mix_embeddings(table, one_hot(token))
 
 
 class TestValidatedOnce:
     def test_each_weight_rule_checks_its_input_once(self, monkeypatch):
         calls = []
         real = mix_core.check_probs
-        monkeypatch.setattr(mix_core, "check_probs", lambda p: calls.append(1) or real(p))
+        monkeypatch.setattr(mix_core, "check_probs", lambda p: calls.append(p) or real(p))
         p = np.array([0.7, 0.2, 0.05, 0.05])
-        w = posterior_mix_weights(IDS4, p, 0, 1.0, 4)
-        assert len(calls) == 1
-        assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        direct_mix_weights(IDS4, p)
-        assert len(calls) == 2
-        one_hot_weights(2, 4)
-        assert len(calls) == 2
+        for rule in (lambda: posterior_mix_weights(IDS4, p, 0, 1.0, 4), lambda: direct_mix_weights(IDS4, p)):
+            calls.clear()
+            w = rule()
+            # the input once, then the weights in the MixingWeights constructor
+            assert len(calls) == 2 and calls[0] is p and calls[1] is w.weights
+            assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_direct_mix_weights_rejects_misaligned(self):
         with pytest.raises(ValueError, match="aligned"):
@@ -236,4 +244,4 @@ class TestTypes:
             MixingWeights(ids=np.array([0, 1, 2]), weights=np.array([0.5, 0.5]))
 
     def test_weight_of_outside_support(self):
-        assert one_hot_weights(1, 4).weight_of(2) == 0.0
+        assert one_hot(1).weight_of(2) == 0.0

@@ -74,36 +74,13 @@ class TestGenerate:
         assert len(res.tokens) == 3
         assert res.records[-1].token == stop
 
-    def test_special_passthrough_forces_one_hot(self, bench_model):
-        special = generate(
-            bench_model,
-            list(b"ab"),
-            gen_cfg(mode="moi", seed=5, max_tokens=8, special_tokens=frozenset(range(256))),
-        )
-        assert all(rec.mode == "standard" for rec in special.records)
-        plain = generate(bench_model, list(b"ab"), gen_cfg(mode="standard", seed=5, max_tokens=8))
-        assert special.tokens == plain.tokens
-
-    def test_passthrough_disabled_keeps_mixing(self, bench_model):
-        res = generate(
-            bench_model,
-            list(b"ab"),
-            gen_cfg(
-                mode="moi",
-                seed=5,
-                max_tokens=8,
-                special_tokens=frozenset(range(256)),
-                special_passthrough=False,
-            ),
-        )
-        assert all(rec.mode == "moi" for rec in res.records)
-
-    def test_raw_softmax_prior_source(self, bench_model):
-        res = generate(
-            bench_model, list(b"ab"), gen_cfg(mode="moi", seed=3, max_tokens=4, prior_source="raw_softmax")
-        )
-        for rec in res.records:
-            assert rec.support.size == bench_model.config.vocab
+    def test_stop_step_records_standard_one_hot(self, bench_model):
+        stop = generate(bench_model, list(b"ab"), gen_cfg(mode="moi", seed=5, max_tokens=8)).tokens[4]
+        res = generate(bench_model, list(b"ab"), gen_cfg(mode="moi", seed=5, max_tokens=8, stop_tokens={stop}))
+        *mixed, last = res.records
+        assert last.token == stop and last.mode == "standard"
+        np.testing.assert_array_equal(last.weights, last.support == stop)
+        assert mixed and all(rec.mode == "moi" for rec in mixed)
 
     def test_context_overflow_rejected(self, bench_model):
         with pytest.raises(ValueError, match="context"):
@@ -480,8 +457,10 @@ class TestReplayVerify:
             replay_verify(res.records, gen_cfg(mode="direct_mixture"), vocab_size=256)
 
     def test_standard_records_allowed_under_mixing_cfg(self, bench_model):
-        cfg = gen_cfg(mode="moi", seed=2, max_tokens=6, special_tokens=frozenset(range(256)))
+        stop = generate(bench_model, list(b"ab"), gen_cfg(mode="moi", seed=2, max_tokens=6)).tokens[3]
+        cfg = gen_cfg(mode="moi", seed=2, max_tokens=6, stop_tokens={stop})
         res = generate(bench_model, list(b"ab"), cfg)
+        assert res.records[-1].mode == "standard"
         assert replay_verify(res.records, cfg, vocab_size=256).passed
 
     def test_beta_mismatch_detected_as_deviation(self, bench_model):
