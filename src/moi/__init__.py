@@ -10,7 +10,6 @@ from .kernels import backend_name
 from .mix_core import (
     MixConfig,
     MixingWeights,
-    direct_mix_weights,
     normalized_entropy,
     posterior_mix_weights,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "TruncatedDistribution",
     "apply_temperature",
     "backend_name",
-    "direct_mix_weights",
     "generate",
     "init_random",
     "load_weights",

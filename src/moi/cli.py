@@ -132,7 +132,7 @@ def cmd_grid(args) -> int:
         modes=obj.get("modes", ("moi",)),
         seeds=obj.get("seeds", experiments.DEFAULT_SEEDS),
     )
-    table = experiments.run_grid(spec, out_path=args.out, jobs=args.jobs, measure_rate=args.timing)
+    table = experiments.run_grid(spec, out_path=args.out, jobs=args.jobs)
     failures = sum(1 for row in table.rows if math.isnan(row.score))
     print(f"wrote {args.out}: {len(table.rows)} rows, {failures} failed trials")
     for index, error in table.errors.items():
@@ -266,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true",
-                   help="fill tokens_per_s with measured rates (breaks byte-identical reruns)")
     p.add_argument("--strict", action="store_true", help="exit nonzero if any trial failed")
     p.set_defaults(func=cmd_grid)
 

@@ -8,12 +8,10 @@ and closer-to-one-hot feedback both raise it), which is what the grid and
 best-of-N machinery need to be exercised end to end.
 
 Grid rows land in a CSV with the fixed header
-``mode,beta,top_p,temperature,seed,score,tokens_per_s``.  Rows are
-streamed to a ``.partial`` file and atomically renamed at the end, so a
-crashed grid leaves its completed rows behind.  The ``tokens_per_s``
-column is left empty unless rate measurement is requested: wall-clock
-rates would break the byte-identical-rerun guarantee the rest of the row
-set carries.
+``mode,beta,top_p,temperature,seed,score``.  Rows are streamed to a
+``.partial`` file and atomically renamed at the end, so a crashed grid
+leaves its completed rows behind.  Rerunning a spec writes a
+byte-identical CSV; `throughput_bench` measures the rate of a grid cell.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import csv
 import gc
 import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,7 +32,7 @@ from .pipeline import GenConfig, Prefill, check_prompt, generate, prefill, start
 from .sampler import SamplerConfig
 from .toy_lm import Model, load_weights
 
-RESULTS_HEADER = ("mode", "beta", "top_p", "temperature", "seed", "score", "tokens_per_s")
+RESULTS_HEADER = ("mode", "beta", "top_p", "temperature", "seed", "score")
 
 # grid-search defaults; single-knob analyses hold the others at the
 # universal setting beta=1, top_p=0.95, T=0.6
@@ -65,16 +64,11 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.kind == "external_scorer" and not callable(self.scorer):
             raise ValueError("external_scorer task needs a callable `scorer`")
-        prompts = tuple(tuple(int(t) for t in p) for p in self.prompts)
+        prompts = tuple(tuple(map(operator.index, p)) for p in self.prompts)
         if not prompts:
             raise ValueError("prompt set must be nonempty")
         object.__setattr__(self, "prompts", prompts)
-        object.__setattr__(self, "stop_tokens", frozenset(self.stop_tokens))
-
-    def resolve_model(self) -> Model:
-        if isinstance(self.model, Model):
-            return self.model
-        return load_weights(self.model)
+        object.__setattr__(self, "stop_tokens", frozenset(map(operator.index, self.stop_tokens)))
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,6 @@ class TrialRow:
     temperature: float
     seed: int
     score: float  # NaN marks a failed trial
-    tokens_per_s: float | None = None
 
 
 @dataclass
@@ -183,7 +176,7 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     """
     if budget < 1:
         raise ValueError("budget must be >= 1: nothing to compare")
-    prompts = [tuple(int(t) for t in p) for p in prompts]
+    prompts = [tuple(map(operator.index, p)) for p in prompts]
     if not prompts:
         raise ValueError("prompt set must be nonempty")
     cfg = replace(cfg, max_tokens=budget)
@@ -202,42 +195,30 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     return matches / len(prompts)
 
 
-def _score_trial(model: Model, task: TaskSpec, cfg: GenConfig, ref_cache) -> float:
-    if task.kind == "external_scorer":
-        return float(task.scorer(model, cfg, task.prompts, task.budget))
-    return greedy_recovery_score(model, cfg, task.prompts, task.budget, _ref_cache=ref_cache)
-
-
+# the per-process grid state: the model, the task and the ref cache, set
+# by `_worker_init` in each pool worker, or in-process when jobs == 1
 _WORKER: dict = {}
 
 
-def _worker_init(task):
-    _WORKER["model"] = task.resolve_model()
-    _WORKER["task"] = task
-    _WORKER["ref_cache"] = {}
+def _worker_init(task: TaskSpec) -> None:
+    # a weight file is loaded by the first trial: an initializer that raises
+    # breaks the pool, and the caller would get BrokenProcessPool, not the error
+    _WORKER.update(task=task, model=task.model if isinstance(task.model, Model) else None, ref_cache={})
 
 
-def _worker_trial(args):
-    cfg, measure_rate = args
-    model, task = _WORKER["model"], _WORKER["task"]
-    return _run_one(model, task, cfg, _WORKER["ref_cache"], measure_rate)
-
-
-def _run_one(model, task, cfg: GenConfig, ref_cache, measure_rate: bool):
+def _run_trial(cfg: GenConfig) -> tuple[float, str | None]:
+    """(score, None) for one grid trial, or (NaN, "ExceptionType: message").
+    A weight file that fails to load raises."""
+    task = _WORKER["task"]
+    if _WORKER["model"] is None:
+        _WORKER["model"] = load_weights(task.model)
+    model = _WORKER["model"]
     try:
-        if measure_rate:
-            generated = 0
-            seconds = 0.0
-            for prompt in task.prompts:
-                result = generate(model, prompt, cfg)
-                generated += result.generated_tokens
-                seconds += result.decode_seconds
-            rate = generated / seconds if seconds > 0 else None
-        else:
-            rate = None
-        return _score_trial(model, task, cfg, ref_cache), rate, None
+        if task.kind == "external_scorer":
+            return float(task.scorer(model, cfg, task.prompts, task.budget)), None
+        return greedy_recovery_score(model, cfg, task.prompts, task.budget, _ref_cache=_WORKER["ref_cache"]), None
     except Exception as exc:
-        return math.nan, None, f"{type(exc).__name__}: {exc}"
+        return math.nan, f"{type(exc).__name__}: {exc}"
 
 
 def _trial_config(task: TaskSpec, mode: str, beta: float, top_p: float, temperature: float, seed: int) -> GenConfig:
@@ -253,17 +234,15 @@ def run_grid(
     spec: GridSpec,
     out_path: str | Path | None = None,
     jobs: int = 1,
-    measure_rate: bool = False,
 ) -> ResultsTable:
     """Score every (mode, beta, top_p, temperature) x seed combination.
 
     Rows are produced in the fixed configs() x seeds order regardless of
-    `jobs`, so reruns of the same spec write byte-identical CSVs (as long
-    as rate measurement stays off).  A failing trial records score NaN
-    ("error" in the CSV), its error goes to the table's `errors`, and the
-    grid continues.
+    `jobs`, so reruns of the same spec write byte-identical CSVs.  With
+    `jobs` > 1 each worker process loads the model; this process does not.
+    A failing trial records score NaN ("error" in the CSV), its error goes
+    to the table's `errors`, and the grid continues.
     """
-    model = spec.task.resolve_model()
     trials = [
         (ci, ri, config, seed)
         for ci, config in enumerate(spec.configs())
@@ -289,10 +268,10 @@ def run_grid(
 
     def emit(trial, outcome):
         (ci, ri, (mode, beta, top_p, temperature), seed) = trial
-        score, rate, error = outcome
+        score, error = outcome
         if error is not None:
             table.errors[len(table.rows)] = error
-        row = TrialRow(mode, beta, top_p, temperature, seed, score, rate)
+        row = TrialRow(mode, beta, top_p, temperature, seed, score)
         table.rows.append(row)
         if writer is not None:
             writer.writerow(_row_to_csv(row))
@@ -303,14 +282,14 @@ def run_grid(
             with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init, initargs=(spec.task,)
             ) as pool:
-                outcomes = pool.map(_worker_trial, [(cfg, measure_rate) for cfg in cfgs], chunksize=4)
-                for trial, outcome in zip(trials, outcomes):
+                for trial, outcome in zip(trials, pool.map(_run_trial, cfgs, chunksize=4)):
                     emit(trial, outcome)
         else:
-            ref_cache: dict = {}
+            _worker_init(spec.task)
             for trial, cfg in zip(trials, cfgs):
-                emit(trial, _run_one(model, spec.task, cfg, ref_cache, measure_rate))
+                emit(trial, _run_trial(cfg))
     finally:
+        _WORKER.clear()
         if fh is not None:
             fh.close()
     if partial is not None:
@@ -320,8 +299,7 @@ def run_grid(
 
 def _row_to_csv(row: TrialRow) -> list[str]:
     score = "error" if math.isnan(row.score) else repr(row.score)
-    rate = "" if row.tokens_per_s is None else repr(row.tokens_per_s)
-    return [row.mode, repr(row.beta), repr(row.top_p), repr(row.temperature), str(row.seed), score, rate]
+    return [row.mode, repr(row.beta), repr(row.top_p), repr(row.temperature), str(row.seed), score]
 
 
 def save_results(table: ResultsTable, path: str | Path) -> None:
@@ -345,7 +323,7 @@ def load_results(path: str | Path) -> ResultsTable:
             raise ResultsFormatError(f"line 1: unexpected results header: {header}")
         for fields in reader:
             try:
-                mode, beta, top_p, temperature, seed, score, rate = fields
+                mode, beta, top_p, temperature, seed, score = fields
                 if mode not in MODES:
                     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
                 table.rows.append(
@@ -356,7 +334,6 @@ def load_results(path: str | Path) -> ResultsTable:
                         temperature=float(temperature),
                         seed=int(seed),
                         score=math.nan if score == "error" else float(score),
-                        tokens_per_s=None if rate == "" else float(rate),
                     )
                 )
             except ValueError as exc:
@@ -498,7 +475,7 @@ def throughput_bench(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    prompts = [tuple(int(t) for t in p) for p in prompts]
+    prompts = [tuple(map(operator.index, p)) for p in prompts]
     cfgs = (replace(baseline_cfg, max_tokens=budget), replace(variant_cfg, max_tokens=budget))
     _timed_run(model, cfgs, prompts, run=0)  # warm caches and the allocator
     counts = np.array([_timed_run(model, cfgs, prompts, run) for run in range(runs)])

@@ -146,7 +146,6 @@ def posterior_mix_weights(
     sampled: int,
     beta: float,
     vocab_size: int,
-    entropy: float | None = None,
 ) -> MixingWeights:
     """Posterior-mean mixing weights for the conjugate Dirichlet update.
 
@@ -156,8 +155,6 @@ def posterior_mix_weights(
     token.  The sum is 1 by construction; it is renormalized only if float
     drift exceeds 1e-12.  If `sampled` is missing from `ids` (it never is
     when sampling from this distribution) it is appended to the support.
-    Callers that already hold the distribution's normalized entropy can
-    pass it as `entropy` to skip recomputing it.
     """
     ids = np.asarray(ids, dtype=np.int64)
     p = check_probs(probs)
@@ -171,9 +168,7 @@ def posterior_mix_weights(
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
 
-    h = entropy_of(p, vocab_size) if entropy is None else float(entropy)
-    if not (0.0 <= h <= 1.0):
-        raise ValueError(f"entropy must lie in [0, 1], got {h}")
+    h = entropy_of(p, vocab_size)
     hits = np.flatnonzero(ids == sampled)
     if hits.size:
         pos = int(hits[0])
@@ -181,12 +176,3 @@ def posterior_mix_weights(
         # a zero-probability entry for it at the end: the same float ops
         ids, p, pos = np.append(ids, sampled), np.append(p, 0.0), ids.size
     return MixingWeights(ids, feedback_weights("moi", p, pos, h, beta))
-
-
-def direct_mix_weights(ids: np.ndarray, probs: np.ndarray) -> MixingWeights:
-    """Baseline: the distribution itself as weights, no posterior update."""
-    ids = np.asarray(ids, dtype=np.int64)
-    p = check_probs(probs)
-    if ids.shape != p.shape:
-        raise ValueError("ids and weights must be aligned 1-D arrays")
-    return MixingWeights(ids, feedback_weights("direct_mixture", p, 0, 0.0, 1.0))

@@ -22,6 +22,7 @@ check is portable and exact at 1e-9.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,9 +53,11 @@ class GenConfig:
     stop_tokens: frozenset = frozenset()
 
     def __post_init__(self):
+        # operator.index, not int(): a float count or token id raises TypeError
+        object.__setattr__(self, "max_tokens", operator.index(self.max_tokens))
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        object.__setattr__(self, "stop_tokens", frozenset(self.stop_tokens))
+        object.__setattr__(self, "stop_tokens", frozenset(map(operator.index, self.stop_tokens)))
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,9 @@ class Prefill:
 
 
 def check_prompt(model: Model, prompt) -> list[int]:
-    """`prompt` as a list of ints; ValueError if it is empty or holds an id
-    outside the vocabulary."""
-    prompt = [int(t) for t in prompt]
+    """`prompt` as a list of ints; TypeError if it holds a non-integer,
+    ValueError if it is empty or holds an id outside the vocabulary."""
+    prompt = [operator.index(t) for t in prompt]
     vocab = model.config.vocab
     if not prompt:
         raise ValueError("prompt must contain at least one token")

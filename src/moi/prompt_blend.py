@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+_NUMBER = frozenset({int, float})
+
 
 def _as_matrix(rows: np.ndarray) -> np.ndarray:
     m = np.asarray(rows, dtype=np.float64)
@@ -67,19 +69,48 @@ def blend_prompts(prompts, target_length: int | None = None) -> np.ndarray:
     return stacked.mean(axis=0)
 
 
+class PromptFormatError(ValueError):
+    """Raised when a prompt-matrix file breaks the {"dim", "rows"} format."""
+
+
+def _reject_constant(literal: str):
+    # json.load would read NaN and Infinity, which are not JSON numbers
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def read_prompt_matrix(path: str | Path) -> np.ndarray:
-    """Load {"dim": d, "rows": [[...], ...]} JSON into an L x d matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Load {"dim": d, "rows": [[...], ...]} JSON into an L x d matrix.
+
+    Types are checked exactly: `dim` is a positive JSON integer and `rows` a
+    nonempty list of lists of `dim` finite JSON numbers, so a float `dim`,
+    a numeric string or a boolean raises PromptFormatError, naming the row
+    at fault, where int() and float() would load it.
+    """
     try:
-        dim = int(obj["dim"])
-        rows = obj["rows"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: expected keys 'dim' and 'rows'") from exc
-    m = _as_matrix(rows)
-    if m.shape[1] != dim:
-        raise ValueError(f"{path}: rows are {m.shape[1]}-wide but dim declares {dim}")
-    return m
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # not UTF-8, not JSON, or a NaN or Infinity literal
+        raise PromptFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if type(obj) is not dict or "dim" not in obj or "rows" not in obj:
+        raise PromptFormatError(f"{path}: expected an object with keys 'dim' and 'rows'")
+    dim, rows = obj["dim"], obj["rows"]
+    if type(dim) is not int or dim < 1:
+        raise PromptFormatError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
+    if type(rows) is not list or not rows:
+        raise PromptFormatError(f"{path}: 'rows' must be a nonempty list of rows")
+    matrix = []
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != dim or not _NUMBER.issuperset(map(type, row)):
+            raise PromptFormatError(f"{path}: row {i} must be a list of dim={dim} numbers")
+        try:
+            values = np.array(row, dtype=np.float64)
+            finite = bool(np.isfinite(values).all())
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise PromptFormatError(f"{path}: row {i} has an entry beyond the float range")
+        matrix.append(values)
+    return np.stack(matrix)
 
 
 def write_prompt_matrix(matrix: np.ndarray, path: str | Path) -> None:

@@ -11,6 +11,7 @@ reproducible from (logits, T, top_p, seed) alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", operator.index(self.seed))  # a float seed raises TypeError
         if not (self.temperature > 0.0):
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not (0.0 < self.top_p <= 1.0):

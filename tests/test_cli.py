@@ -140,7 +140,7 @@ class TestGrid:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 4
         assert all(0.0 <= float(r["score"]) <= 1.0 for r in rows)
-        assert all(r["tokens_per_s"] == "" for r in rows)
+        assert out.read_text().startswith("mode,beta,top_p,temperature,seed,score\n")
 
     def test_failed_trial_error_on_stderr(self, model_file, tmp_path):
         # prompt (2) + budget (255) exceeds the 256-token context: generate fails
@@ -155,7 +155,7 @@ class TestGrid:
         assert proc.returncode == 0, proc.stderr
         assert "1 failed trials" in proc.stdout
         assert "CSV line 2 (moi beta=1.0 top_p=0.9 temperature=0.7 seed=0): ValueError: prompt (2) + max_tokens (255)" in proc.stderr
-        assert out.read_text() == "mode,beta,top_p,temperature,seed,score,tokens_per_s\nmoi,1.0,0.9,0.7,0,error,\n"
+        assert out.read_text() == "mode,beta,top_p,temperature,seed,score\nmoi,1.0,0.9,0.7,0,error\n"
 
     def test_external_scorer_rejected_from_json(self, model_file, tmp_path):
         config = {"task": {"kind": "external_scorer", "model": str(model_file), "prompts": ["ab"], "budget": 4}}
@@ -208,10 +208,10 @@ class TestBestOfN:
     def test_exact_toy_table(self, tmp_path):
         results = tmp_path / "r.csv"
         results.write_text(
-            "mode,beta,top_p,temperature,seed,score,tokens_per_s\n"
-            "moi,1.0,0.95,0.6,0,0.2,\n"
-            "moi,2.0,0.95,0.6,0,0.5,\n"
-            "moi,3.0,0.95,0.6,0,0.8,\n"
+            "mode,beta,top_p,temperature,seed,score\n"
+            "moi,1.0,0.95,0.6,0,0.2\n"
+            "moi,2.0,0.95,0.6,0,0.5\n"
+            "moi,3.0,0.95,0.6,0,0.8\n"
         )
         out = tmp_path / "curve.csv"
         proc = run_cli(

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from moi import experiments
 from moi.experiments import (
     RESULTS_HEADER,
     GridSpec,
@@ -25,6 +26,7 @@ from moi.experiments import (
 from moi.mix_core import MixConfig
 from moi.pipeline import GenConfig, prefill
 from moi.sampler import SamplerConfig
+from moi.toy_lm import save_weights
 
 PROMPTS = ((1, 2), (3, 4))
 
@@ -143,7 +145,6 @@ class TestRunGrid:
         assert len(table.rows) == 1
         row = table.rows[0]
         assert row.mode == "moi" and 0.0 <= row.score <= 1.0
-        assert row.tokens_per_s is None
 
     def test_row_order_and_count(self, small_model):
         spec = GridSpec(
@@ -172,7 +173,7 @@ class TestRunGrid:
         run_grid(spec, out_path=tmp_path / "b.csv")
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes()
-        assert a.startswith(b"mode,beta,top_p,temperature,seed,score,tokens_per_s\n")
+        assert a.startswith(b"mode,beta,top_p,temperature,seed,score\n")
         assert not (tmp_path / "a.csv.partial").exists()
 
     def test_failed_trial_marked_and_grid_continues(self, small_model, tmp_path):
@@ -213,7 +214,7 @@ class TestRunGrid:
         assert all(math.isnan(serial.rows[i].score) for i in want)
         data = (tmp_path / "serial.csv").read_bytes()
         assert data == (tmp_path / "par.csv").read_bytes()
-        assert data.count(b",error,") == 4 and b"boom" not in data
+        assert data.count(b",error\n") == 4 and b"boom" not in data
 
     def test_prefix_reuse_keeps_csv_bytes(self, small_model, tmp_path):
         # one cache per run_grid call (per worker with jobs > 1) prefills each
@@ -255,6 +256,33 @@ class TestRunGrid:
         run_grid(spec, out_path=tmp_path / "par.csv", jobs=2)
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
 
+    def test_parallel_grid_loads_no_weights_in_this_process(self, small_model, tmp_path, monkeypatch):
+        path = tmp_path / "m.tlm"
+        save_weights(small_model, path)
+        spec = GridSpec(
+            task=TaskSpec(model=path, prompts=PROMPTS, budget=3),
+            betas=(0.5, 1.0),
+            top_ps=(0.9,),
+            temperatures=(0.7,),
+            modes=("moi",),
+            seeds=(0, 1),
+        )
+        run_grid(spec, out_path=tmp_path / "serial.csv", jobs=1)
+        calls = []
+        real = experiments.load_weights
+        monkeypatch.setattr(experiments, "load_weights", lambda p: calls.append(p) or real(p))
+        run_grid(spec, out_path=tmp_path / "par.csv", jobs=2)
+        # the workers load the file; this process never does
+        assert calls == []
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unloadable_weights_raise_their_own_error(self, tmp_path, jobs):
+        # not BrokenProcessPool, and not a grid of failed trials
+        spec = GridSpec(task=TaskSpec(model=tmp_path / "missing.tlm", prompts=PROMPTS, budget=3), seeds=(0,))
+        with pytest.raises(FileNotFoundError, match="missing.tlm"):
+            run_grid(spec, jobs=jobs)
+
     def test_results_csv_round_trip(self, small_model, tmp_path):
         table = toy_table()
         save_results(table, tmp_path / "r.csv")
@@ -264,15 +292,22 @@ class TestRunGrid:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("moi,1.0,0.9,0.7,0,0.5", "line 3: not enough values to unpack"),
-            ("moi,x,0.9,0.7,0,0.5,", "line 3: could not convert string to float: 'x'"),
-            ("bogus,1.0,0.9,0.7,0,0.5,", "line 3: unknown mode 'bogus'"),
+            ("moi,1.0,0.9,0.7,0", "line 3: not enough values to unpack"),
+            ("moi,x,0.9,0.7,0,0.5", "line 3: could not convert string to float: 'x'"),
+            ("bogus,1.0,0.9,0.7,0,0.5", "line 3: unknown mode 'bogus'"),
         ],
     )
     def test_bad_results_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "r.csv"
-        path.write_text(f"{','.join(RESULTS_HEADER)}\nmoi,1.0,0.9,0.7,0,error,\n{row}\n")
+        path.write_text(f"{','.join(RESULTS_HEADER)}\nmoi,1.0,0.9,0.7,0,error\n{row}\n")
         with pytest.raises(ResultsFormatError, match=message):
+            load_results(path)
+
+    def test_seven_column_results_rejected_at_line_1(self, tmp_path):
+        # a results file in the older seven-column format
+        path = tmp_path / "r.csv"
+        path.write_text("mode,beta,top_p,temperature,seed,score,tokens_per_s\nmoi,1.0,0.9,0.7,0,0.5,\n")
+        with pytest.raises(ResultsFormatError, match="line 1: unexpected results header"):
             load_results(path)
 
 
@@ -355,6 +390,13 @@ class TestSpecValidation:
     def test_task_requires_prompts(self, small_model):
         with pytest.raises(ValueError, match="nonempty"):
             TaskSpec(model=small_model, prompts=(), budget=4)
+
+    def test_task_token_ids_must_be_integers(self, small_model):
+        for bad in ({"prompts": [(1, 2.5)]}, {"prompts": ["ab"]}, {"stop_tokens": "ab"}):
+            with pytest.raises(TypeError):
+                TaskSpec(model=small_model, budget=4, **{"prompts": PROMPTS, **bad})
+        task = TaskSpec(model=small_model, prompts=[np.array([1, 2])], budget=4, stop_tokens=[np.int64(3)])
+        assert (task.prompts, task.stop_tokens) == (((1, 2),), frozenset({3}))
 
     def test_external_scorer_needs_callable(self, small_model):
         with pytest.raises(ValueError, match="callable"):

@@ -18,7 +18,6 @@ from moi import mix_core
 from moi.mix_core import (
     MixConfig,
     MixingWeights,
-    direct_mix_weights,
     feedback_weights,
     normalized_entropy,
     posterior_mix_weights,
@@ -125,12 +124,6 @@ class TestPosteriorMixWeights:
         want = np.concatenate([p * (h / 2.0), [(2.0 - h) / 2.0]])
         assert w.weights.tobytes() == want.tobytes()
 
-    def test_precomputed_entropy_matches(self):
-        h = normalized_entropy(ORACLE_P, 4)
-        a = posterior_mix_weights(IDS4, ORACLE_P, 1, 0.5, 4)
-        b = posterior_mix_weights(IDS4, ORACLE_P, 1, 0.5, 4, entropy=h)
-        np.testing.assert_array_equal(a.weights, b.weights)
-
     def test_conjugacy_oracle(self):
         rng = np.random.Generator(np.random.PCG64(7))
         for _ in range(400):
@@ -186,7 +179,10 @@ class TestPosteriorMixWeights:
 class TestBaselineWeights:
     def test_direct_identity(self):
         for p in (np.full(4, 0.25), np.array([0.0, 0.0, 1.0, 0.0]), ORACLE_P):
-            np.testing.assert_array_equal(direct_mix_weights(IDS4, p).to_dense(4), p)
+            for pos in range(4):
+                w = feedback_weights("direct_mixture", p, pos, normalized_entropy(p, 4), 1.0)
+                np.testing.assert_array_equal(w, p)
+                assert w is not p
 
     def test_one_hot(self):
         # the standard rule: one-hot at the sampled token's support position
@@ -211,16 +207,10 @@ class TestValidatedOnce:
         real = mix_core.check_probs
         monkeypatch.setattr(mix_core, "check_probs", lambda p: calls.append(p) or real(p))
         p = np.array([0.7, 0.2, 0.05, 0.05])
-        for rule in (lambda: posterior_mix_weights(IDS4, p, 0, 1.0, 4), lambda: direct_mix_weights(IDS4, p)):
-            calls.clear()
-            w = rule()
-            # the input once, then the weights in the MixingWeights constructor
-            assert len(calls) == 2 and calls[0] is p and calls[1] is w.weights
-            assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_direct_mix_weights_rejects_misaligned(self):
-        with pytest.raises(ValueError, match="aligned"):
-            direct_mix_weights(np.array([0, 1]), np.array([1.0]))
+        w = posterior_mix_weights(IDS4, p, 0, 1.0, 4)
+        # the input once, then the weights in the MixingWeights constructor
+        assert len(calls) == 2 and calls[0] is p and calls[1] is w.weights
+        assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTypes:

@@ -122,6 +122,33 @@ def assert_same_result(a, b):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+class TestIntegerInputs:
+    # each of these was once coerced: int() truncates 1.7 and 2.5, and
+    # frozenset("ab") makes stop tokens of characters that never match
+    def test_string_stop_tokens_rejected(self):
+        with pytest.raises(TypeError):
+            GenConfig(stop_tokens="ab")
+
+    def test_float_prompt_token_rejected(self, bench_model):
+        with pytest.raises(TypeError):
+            generate(bench_model, [1.7, True], gen_cfg())
+
+    def test_float_seed_rejected(self):
+        with pytest.raises(TypeError):
+            SamplerConfig(seed=1.5)
+
+    def test_float_max_tokens_rejected(self):
+        with pytest.raises(TypeError):
+            GenConfig(max_tokens=2.5)
+
+    def test_numpy_integers_accepted(self, bench_model):
+        cfg = GenConfig(sampler=SamplerConfig(seed=np.uint64(3)), max_tokens=np.int64(4), stop_tokens=[np.int32(7)])
+        assert (cfg.max_tokens, cfg.stop_tokens, cfg.sampler.seed) == (4, frozenset({7}), 3)
+        assert type(cfg.max_tokens) is int and type(cfg.sampler.seed) is int
+        plain = GenConfig(sampler=SamplerConfig(seed=3), max_tokens=4, stop_tokens={7})
+        assert generate(bench_model, np.array([97, 98]), cfg).tokens == generate(bench_model, [97, 98], plain).tokens
+
+
 class TestPrefix:
     PROMPT = list(b"hello")
 

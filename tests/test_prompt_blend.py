@@ -1,11 +1,15 @@
 """Piecewise-linear prompt resampling and pool averaging."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moi.prompt_blend import (
+    PromptFormatError,
     blend_prompts,
     interpolate_length,
     read_prompt_matrix,
@@ -142,3 +146,86 @@ class TestPromptMatrixIO:
         path.write_text('{"rows": [[1.0]]}')
         with pytest.raises(ValueError):
             read_prompt_matrix(path)
+
+    # each of these loaded, coerced, or failed with numpy's raw message
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dim": 2.7, "rows": [[1.0, 2.0]]}', "'dim' must be a positive integer, got 2.7"),
+            ('{"dim": "2", "rows": [[1.0, 2.0]]}', "'dim' must be a positive integer, got '2'"),
+            ('{"dim": true, "rows": [[1.0]]}', "'dim' must be a positive integer, got True"),
+            ('{"dim": 2, "rows": [["1.5", "2"]]}', "row 0 must be a list of dim=2 numbers"),
+            ('{"dim": 2, "rows": [[true, false]]}', "row 0 must be a list of dim=2 numbers"),
+            ('{"dim": 2, "rows": [[1.0, 2.0], [3.0]]}', "row 1 must be a list of dim=2 numbers"),
+            ('[{"dim": 1, "rows": [[1.0]]}]', "expected an object with keys 'dim' and 'rows'"),
+            ('{"dim": 1, "rows": [[NaN]]}', "NaN is not a JSON number"),
+            ('{"dim": 1, "rows": [[0.0], [1e400]]}', "row 1 has an entry beyond the float range"),
+            ('{"dim": 1, "rows": [[1%s]]}' % ("0" * 400), "row 0 has an entry beyond the float range"),
+            ('{"dim": 1, "rows": []}', "'rows' must be a nonempty list"),
+        ],
+        ids=["float-dim", "string-dim", "bool-dim", "string-entries", "bool-entries", "ragged", "top-level-list",
+             "nan", "float-overflow", "int-overflow", "no-rows"],
+    )
+    def test_wrong_type_is_format_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(PromptFormatError, match=message):
+            read_prompt_matrix(path)
+
+    def test_int_entries_load_as_floats(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"dim": 2, "rows": [[1, -2], [0.5, 3]]}')
+        assert read_prompt_matrix(path).tolist() == [[1.0, -2.0], [0.5, 3.0]]
+
+
+VALID_MATRIX = {"dim": 2, "rows": [[1.5, -2.25], [0.125, 9.0], [0.0, 4]]}
+PROMPT_FUZZ_VALUES = (None, True, False, 0, -1, 2, 3, 2**70, 10**400, 1.5, float("nan"), float("inf"), "2", "moi",
+                      [], [1], [[0.5]], [True], {"a": 1})
+
+
+@st.composite
+def mutated_prompt_file(draw):
+    """A valid prompt-matrix file after one to three mutations: a key
+    dropped, a value, a row or a row entry swapped for another JSON value,
+    a value nested in a list, or the bytes truncated."""
+    obj = copy.deepcopy(VALID_MATRIX)
+    values = st.sampled_from(PROMPT_FUZZ_VALUES).map(copy.deepcopy)
+    for _ in range(draw(st.integers(1, 3))):
+        if not obj:
+            break
+        key = draw(st.sampled_from(sorted(obj)))
+        kind = draw(st.sampled_from(("drop", "swap", "swap_row", "swap_entry", "nest")))
+        rows = obj[key] if key == "rows" and isinstance(obj[key], list) and obj[key] else None
+        if kind == "drop":
+            del obj[key]
+        elif kind == "swap_row" and rows is not None:
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(values)
+        elif kind == "swap_entry" and rows is not None:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(values)
+        elif kind == "nest":
+            obj[key] = [obj[key]]
+        else:
+            obj[key] = draw(values)
+    data = json.dumps(obj).encode()
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+class TestPromptMatrixFuzz:
+    @settings(deadline=None, max_examples=300)
+    @given(data=mutated_prompt_file())
+    def test_mutated_file_is_format_error_or_exact(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_bytes(data)
+        try:
+            m = read_prompt_matrix(path)
+        except PromptFormatError:
+            return
+        # no silent load: what loads is exactly what the file says
+        obj = json.loads(data)
+        assert type(obj["dim"]) is int and m.shape == (len(obj["rows"]), obj["dim"])
+        assert all(type(x) in (int, float) for row in obj["rows"] for x in row)
+        assert m.tolist() == [[float(x) for x in row] for row in obj["rows"]]
