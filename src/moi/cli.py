@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import experiments, pipeline, prompt_blend, toy_lm
 from .mix_core import MixConfig
@@ -26,13 +27,14 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # make stop tokens of characters that never match a token id
 _GRID_FIELDS = {
     "budget": (0, {int}), "stop_tokens": (1, {int}), "seeds": (1, {int}), "prompt_ids": (2, {int}),
-    "prompts": (1, {str}), "modes": (1, {str}),
+    "model": (0, {str}), "kind": (0, {str}), "prompts": (1, {str}), "modes": (1, {str}),
     "betas": (1, {int, float}), "top_ps": (1, {int, float}), "temperatures": (1, {int, float}),
 }
 
 
 class ConfigError(ValueError):
-    """Raised when a grid config field has the wrong JSON type."""
+    """Raised when a grid config is not valid JSON, lacks a field, or has
+    a field of the wrong JSON type or value."""
 
 
 def _seed_from_env(seed: int) -> int:
@@ -97,11 +99,21 @@ def _reject_constant(literal: str):
     raise ConfigError(f"grid config: {literal} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    # float() would read 1e400 as inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"grid config: {text} is beyond the float range")
+    return value
+
+
 def _task_from_json(obj: dict) -> experiments.TaskSpec:
     _check_grid_fields(obj)
+    if "model" not in obj:
+        raise ConfigError("grid config task needs a 'model' field (a weight file path)")
     kind = obj.get("kind", "greedy_recovery")
     if kind == "external_scorer":
-        raise ValueError(
+        raise ConfigError(
             "task kind 'external_scorer' is only available through the Python API "
             "(pass a scorer callable to TaskSpec)"
         )
@@ -118,20 +130,34 @@ def _task_from_json(obj: dict) -> experiments.TaskSpec:
     )
 
 
-def cmd_grid(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        obj = json.load(fh, parse_constant=_reject_constant)
+def _load_grid_config(path) -> experiments.GridSpec:
+    """The GridSpec of a JSON grid config file; a file that is not a valid
+    config raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not a JSON grid config: {exc}") from exc
     if type(obj) is not dict or type(obj.get("task")) is not dict:
-        raise ConfigError(f"{args.config}: grid config needs a 'task' object")
+        raise ConfigError(f"{path}: grid config needs a 'task' object")
     _check_grid_fields(obj)
-    spec = experiments.GridSpec(
-        task=_task_from_json(obj["task"]),
-        betas=obj.get("betas", experiments.DEFAULT_BETAS),
-        top_ps=obj.get("top_ps", experiments.DEFAULT_TOP_PS),
-        temperatures=obj.get("temperatures", experiments.DEFAULT_TEMPERATURES),
-        modes=obj.get("modes", ("moi",)),
-        seeds=obj.get("seeds", experiments.DEFAULT_SEEDS),
-    )
+    try:
+        return experiments.GridSpec(
+            task=_task_from_json(obj["task"]),
+            betas=obj.get("betas", experiments.DEFAULT_BETAS),
+            top_ps=obj.get("top_ps", experiments.DEFAULT_TOP_PS),
+            temperatures=obj.get("temperatures", experiments.DEFAULT_TEMPERATURES),
+            modes=obj.get("modes", ("moi",)),
+            seeds=obj.get("seeds", experiments.DEFAULT_SEEDS),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:  # an empty list, an unknown kind, a prompt with a lone surrogate
+        raise ConfigError(f"grid config: {exc}") from exc
+
+
+def cmd_grid(args) -> int:
+    spec = _load_grid_config(args.config)
     table = experiments.run_grid(spec, out_path=args.out, jobs=args.jobs)
     failures = sum(1 for row in table.rows if math.isnan(row.score))
     print(f"wrote {args.out}: {len(table.rows)} rows, {failures} failed trials")
@@ -177,15 +203,9 @@ def cmd_bench(args) -> int:
         sampler=SamplerConfig(temperature=args.temperature, top_p=args.top_p, seed=0),
         max_tokens=args.budget,
     )
-    variant_mode = _MODE_ALIASES[args.variant]
-    variant = pipeline.GenConfig(
-        mix=MixConfig(mode=variant_mode, beta=args.beta),
-        sampler=SamplerConfig(temperature=args.temperature, top_p=args.top_p, seed=0),
-        max_tokens=args.budget,
-    )
+    variant = replace(base, mix=MixConfig(mode=_MODE_ALIASES[args.variant], beta=args.beta))
     report = experiments.throughput_bench(
-        model, base, variant, prompts, args.budget, runs=args.runs,
-        baseline_label="standard", variant_label=args.variant,
+        model, base, variant, prompts, args.budget, runs=args.runs, variant_label=args.variant
     )
     print(report.format_table())
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
@@ -225,11 +245,7 @@ def cmd_blend(args) -> int:
 
 def cmd_replay(args) -> int:
     trace = pipeline.read_trace(args.trace)
-    cfg = pipeline.GenConfig(
-        mix=MixConfig(mode=_MODE_ALIASES[args.mode], beta=args.beta),
-        sampler=SamplerConfig(),
-        max_tokens=1,
-    )
+    cfg = pipeline.GenConfig(mix=MixConfig(mode=_MODE_ALIASES[args.mode], beta=args.beta))
     report = pipeline.replay_verify(trace, cfg, vocab_size=args.vocab, tolerance=args.tolerance)
     print(report.summary())
     return 0 if report.passed else 1

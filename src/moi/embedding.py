@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, mix_core
 from .mix_core import MixingWeights
 
 
@@ -44,7 +44,7 @@ class EmbeddingTable:
 
 def lookup(table: EmbeddingTable, token_id: int) -> np.ndarray:
     """Row `token_id` of the table as a fresh float32 vector."""
-    token_id = int(token_id)
+    token_id = mix_core.token_id(token_id)
     if not (0 <= token_id < table.vocab):
         raise IndexError(f"token {token_id} outside vocabulary of size {table.vocab}")
     return table.matrix[token_id].copy()
@@ -58,8 +58,6 @@ def mix_embeddings(table: EmbeddingTable, weights: MixingWeights) -> np.ndarray:
     ids = weights.ids
     if np.any(ids < 0) or np.any(ids >= table.vocab):
         raise IndexError(f"weight support outside vocabulary of size {table.vocab}")
-    if ids.size == 1 and weights.weights[0] == 1.0:
-        return table.matrix[int(ids[0])].copy()
     return mix(table.matrix, ids, weights.weights)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import itertools
 import math
 import operator
@@ -149,13 +150,12 @@ def greedy_decode(
 ) -> list[int]:
     """Argmax decode with plain one-hot feedback; the reference sequence.
 
-    With `prefix` (see `pipeline.prefill`) the prompt is not run again."""
+    It starts like `generate`, through `pipeline.start_state`; with
+    `prefix` (see `pipeline.prefill`) the prompt is not run again."""
     from .embedding import lookup
 
     table = model.embedding_table
-    prompt = check_prompt(model, prompt)
-    capacity = min(len(prompt) + max(budget - 1, 0), model.config.context)
-    state, logits = start_state(model, prompt, capacity, prefix)
+    state, logits = start_state(model, check_prompt(model, prompt), budget, prefix)
     tokens: list[int] = []
     for step in range(budget):
         token = int(np.argmax(logits))
@@ -302,42 +302,51 @@ def _row_to_csv(row: TrialRow) -> list[str]:
     return [row.mode, repr(row.beta), repr(row.top_p), repr(row.temperature), str(row.seed), score]
 
 
-def save_results(table: ResultsTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for row in table.rows:
-            writer.writerow(_row_to_csv(row))
-
-
 class ResultsFormatError(ValueError):
     """Raised when a results CSV breaks the format; names the line."""
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def load_results(path: str | Path) -> ResultsTable:
+    """The rows of a results CSV.  A file that breaks the format (bytes
+    that are not UTF-8, a wrong field count, a number that does not parse
+    or is not finite, a mode outside MODES) raises ResultsFormatError
+    naming the line; "error" is the one failed-trial score."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ResultsFormatError(f"line {line}: not UTF-8: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
     table = ResultsTable()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
         header = next(reader, None)
         if header is None or tuple(header) != RESULTS_HEADER:
-            raise ResultsFormatError(f"line 1: unexpected results header: {header}")
+            raise ValueError(f"unexpected results header: {header}")
         for fields in reader:
-            try:
-                mode, beta, top_p, temperature, seed, score = fields
-                if mode not in MODES:
-                    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-                table.rows.append(
-                    TrialRow(
-                        mode=mode,
-                        beta=float(beta),
-                        top_p=float(top_p),
-                        temperature=float(temperature),
-                        seed=int(seed),
-                        score=math.nan if score == "error" else float(score),
-                    )
+            mode, beta, top_p, temperature, seed, score = fields
+            if mode not in MODES:
+                raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+            table.rows.append(
+                TrialRow(
+                    mode=mode,
+                    beta=_finite(beta),
+                    top_p=_finite(top_p),
+                    temperature=_finite(temperature),
+                    seed=int(seed),
+                    score=math.nan if score == "error" else _finite(score),
                 )
-            except ValueError as exc:
-                raise ResultsFormatError(f"line {reader.line_num}: {exc}") from exc
+            )
+    except (ValueError, csv.Error) as exc:
+        raise ResultsFormatError(f"line {max(reader.line_num, 1)}: {exc}") from exc
     return table
 
 
@@ -462,7 +471,6 @@ def throughput_bench(
     prompts,
     budget: int,
     runs: int = 5,
-    baseline_label: str = "standard",
     variant_label: str | None = None,
 ) -> ThroughputReport:
     """Input/output rates of both configs over `runs` runs of the prompt set.
@@ -484,7 +492,7 @@ def throughput_bench(
     ratios = pair_rates[:, 1] / pair_rates[:, 0]
     in_ratio, out_ratio = np.median(ratios, axis=0)
     return ThroughputReport(
-        baseline_label=baseline_label,
+        baseline_label=baseline_cfg.mix.mode,
         variant_label=variant_label or variant_cfg.mix.mode,
         baseline_input_rate=float(base_in),
         baseline_output_rate=float(base_out),

@@ -26,6 +26,7 @@ All probability math is float64.  Distributions are handled sparsely as
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ class MixingWeights:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64))
+        object.__setattr__(self, "ids", token_ids(self.ids))
         object.__setattr__(self, "weights", check_probs(self.weights))
         if self.ids.shape != self.weights.shape:
             raise ValueError("ids and weights must be aligned 1-D arrays")
@@ -76,6 +77,23 @@ class MixingWeights:
         dense = np.zeros(vocab_size, dtype=np.float64)
         dense[self.ids] = self.weights
         return dense
+
+
+def token_ids(ids) -> np.ndarray:
+    """`ids` as an int64 array; TypeError unless their dtype is an integer
+    one, so float ids are not truncated and bools are not taken as 0/1."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise TypeError(f"token ids must have an integer dtype, got {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
+def token_id(token) -> int:
+    """`token` as an int through operator.index; a float, a string or a
+    bool raises TypeError."""
+    if isinstance(token, bool):
+        raise TypeError("a token id must be an integer, not a bool")
+    return operator.index(token)
 
 
 def check_probs(probs: np.ndarray) -> np.ndarray:
@@ -156,11 +174,11 @@ def posterior_mix_weights(
     drift exceeds 1e-12.  If `sampled` is missing from `ids` (it never is
     when sampling from this distribution) it is appended to the support.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = token_ids(ids)
     p = check_probs(probs)
     if ids.shape != p.shape:
         raise ValueError("ids and probs must be aligned")
-    sampled = int(sampled)
+    sampled = token_id(sampled)
     if not (0 <= sampled < vocab_size):
         raise IndexError(f"sampled token {sampled} outside vocabulary of size {vocab_size}")
     if np.any(ids < 0) or np.any(ids >= vocab_size):

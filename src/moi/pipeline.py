@@ -7,11 +7,11 @@ verbatim as weights (direct_mixture), or the posterior-mean mixture
 (moi).  The emitted token sequence is always the sampled discrete tokens;
 only the fed-back representation changes.
 
-A prompt's prefill can be done once and shared: `prefill` runs it
-through the model, and `generate(..., prefix=...)` starts each of any
-number of generations from a copy of that state.  Every decoder state is
-sized to its request: prompt plus generated positions, less the last
-token, which is never fed back.
+Every decode (`generate`, `prefill`, `experiments.greedy_decode`) starts
+in `start_state`, the one place that checks a request against the model
+context (prompt + new tokens <= context, before any forward), sizes its
+state and runs the prompt.  `prefill` runs a prompt once, and
+`generate(..., prefix=...)` starts generations from copies of its state.
 
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
@@ -133,32 +133,32 @@ def check_prompt(model: Model, prompt) -> list[int]:
     return prompt
 
 
-def _feed_prompt(model: Model, state, prompt: list[int]) -> np.ndarray:
-    """Feed the prompt's embedding rows; return the logits after the last."""
-    table = model.embedding_table
-    for token in prompt:
-        logits = model.forward_step(state, lookup(table, token))
-    return logits
-
-
 def prefill(model: Model, prompt) -> Prefill:
-    """Run `prompt` through `model` once, for generations to start from."""
+    """Run `prompt` through `model` once, for generations to start from:
+    the start of a request for one token."""
     prompt = check_prompt(model, prompt)
-    if len(prompt) > model.config.context:
-        raise ValueError(f"prompt ({len(prompt)}) exceeds model context {model.config.context}")
-    state = model.new_state(len(prompt))
-    logits = _feed_prompt(model, state, prompt)
+    state, logits = start_state(model, prompt, 1)
     return Prefill(model=model, prompt=tuple(prompt), state=state, logits=logits)
 
 
-def start_state(model: Model, prompt: list[int], capacity: int, prefix: Prefill | None = None):
-    """The decoder state after `prompt`, with room for `capacity`
-    positions, and the logits for the next token.  Without `prefix` the
+def start_state(model: Model, prompt: list[int], new_tokens: int, prefix: Prefill | None = None):
+    """The decoder state after the checked `prompt`, sized for `new_tokens`
+    generated tokens (the last is never fed, so it gets no position), and
+    the logits for the first.  ValueError before any forward if new_tokens
+    < 1 or the request exceeds the model context.  Without `prefix` the
     prompt is run through the model; with it, `prefix` must come from the
     same model object and the same prompt, and its state is forked."""
+    context = model.config.context
+    if operator.index(new_tokens) < 1:
+        raise ValueError(f"a decode needs at least 1 new token, got {new_tokens}")
+    if len(prompt) + new_tokens > context:
+        raise ValueError(f"prompt ({len(prompt)}) + max_tokens ({new_tokens}) exceeds model context {context}")
+    capacity = len(prompt) + new_tokens - 1
     if prefix is None:
         state = model.new_state(capacity)
-        return state, _feed_prompt(model, state, prompt)
+        for token in prompt:
+            logits = model.forward_step(state, lookup(model.embedding_table, token))
+        return state, logits
     if prefix.model is not model:
         raise ValueError("prefix was prefilled by another model")
     if prefix.prompt != tuple(prompt):
@@ -177,22 +177,16 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
 
     `prefix`, from `prefill(model, prompt)`, skips running the prompt: the
     loop starts from a fork of its state and its logits, with the same
-    result as without it.  A prefix made by another model object or for
-    another prompt raises ValueError.  `prefill_seconds` covers the
+    result as without it.  A request beyond the model context (see
+    `start_state`), or a prefix made by another model object or for
+    another prompt, raises ValueError.  `prefill_seconds` covers the
     allocation and the prompt run, or the fork.
     """
     prompt = check_prompt(model, prompt)
     vocab = model.config.vocab
-    if len(prompt) + cfg.max_tokens > model.config.context:
-        raise ValueError(
-            f"prompt ({len(prompt)}) + max_tokens ({cfg.max_tokens}) exceeds "
-            f"model context {model.config.context}"
-        )
-
     rng = make_rng(cfg.sampler.seed)
     t0 = time.perf_counter()
-    # the last generated token is never fed, so it needs no position
-    state, logits = start_state(model, prompt, len(prompt) + cfg.max_tokens - 1, prefix)
+    state, logits = start_state(model, prompt, cfg.max_tokens, prefix)
     prefill_seconds = time.perf_counter() - t0
 
     matrix = model.embedding_table.matrix

@@ -1,12 +1,16 @@
 """End-to-end CLI contract: exit codes, determinism, artifacts."""
 
+import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moi import cli
 
@@ -170,7 +174,8 @@ class TestGridConfigTypes:
     # each of these was once coerced silently or raised a bare TypeError
     @pytest.mark.parametrize(
         "field, value",
-        [("stop_tokens", "ab"), ("budget", 2.9), ("prompt_ids", [[1, 2.7, True]]), ("betas", 1)],
+        [("stop_tokens", "ab"), ("budget", 2.9), ("prompt_ids", [[1, 2.7, True]]), ("betas", 1),
+         ("model", 5), ("model", ["x"]), ("kind", 5)],
     )
     def test_wrong_type_exits_1_naming_field(self, field, value, tmp_path, capsys):
         config = {"task": {"model": "model.tlm", "prompts": ["ab"]}}
@@ -192,16 +197,119 @@ class TestGridConfigTypes:
         bad = {
             "budget": True, "stop_tokens": [1.0], "seeds": [False], "prompt_ids": [1, 2], "prompts": "ab",
             "modes": [["moi"]], "betas": ["1"], "top_ps": [None], "temperatures": [0.6, [1.0]],
+            "model": 5, "kind": 5,
         }
         assert set(bad) == set(cli._GRID_FIELDS)
         for field, value in bad.items():
             with pytest.raises(cli.ConfigError, match=repr(field)):
                 cli._check_grid_fields({field: value})
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"task": {"prompts": ["ab"]}}', "needs a 'model' field"),  # once a raw KeyError
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"], "kind": "bogus"}}', "unknown task kind 'bogus'"),
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"], "kind": "external_scorer"}}', "Python API"),
+            ('{"task": {"model": "m.tlm", "prompts": []}}', "prompt set must be nonempty"),
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "betas": []}', "betas must be nonempty"),
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "betas": [1e400]}', "1e400 is beyond the float range"),
+            ('{"task": {"model": "m.tlm", "prompts": ["\\ud800"]}}', "surrogate"),
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"]}', "not a JSON grid config"),
+            ('{"task": {"model": "m.tlm", "prompts": ["\xff"]}}', "not a JSON grid config"),
+        ],
+        ids=["no-model", "unknown-kind", "external-scorer", "no-prompts", "no-betas", "float-overflow",
+             "lone-surrogate", "truncated", "not-utf8"],
+    )
+    def test_bad_config_is_config_error(self, tmp_path, text, message):
+        path = tmp_path / "grid.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(cli.ConfigError, match=message):
+            cli._load_grid_config(path)
+
     def test_valid_task_loads_unchanged(self):
         spec = cli._task_from_json({"model": "m.tlm", "prompt_ids": [[1, 2]], "budget": 3, "stop_tokens": [7]})
         assert (spec.prompts, spec.budget, spec.stop_tokens) == (((1, 2),), 3, frozenset({7}))
         assert cli._task_from_json({"model": "m.tlm", "prompts": ["ab"]}).prompts == ((97, 98),)
+
+
+VALID_GRIDS = (
+    {"betas": [0.5, 2], "top_ps": [0.9], "temperatures": [0.7, 1.0], "modes": ["moi", "standard"], "seeds": [0, 3],
+     "task": {"kind": "greedy_recovery", "model": "m.tlm", "prompts": ["ab", "c"], "budget": 4, "stop_tokens": [7]}},
+    {"task": {"model": "m.tlm", "prompt_ids": [[1, 2], [3]], "budget": 2}},
+)
+GRID_FUZZ_VALUES = (None, True, False, 0, -1, 2, 2**70, 1.5, float("nan"), float("inf"), "", "ab", "moi",
+                    "external_scorer", "greedy_recovery", [], [1], [[0.5]], [True], ["x"], [[1, 2]], {"a": 1})
+
+
+def exact(value, depth: int, *types) -> bool:
+    """`value` is a `depth`-deep list of items of exactly `types`."""
+    if depth == 0:
+        return type(value) in types
+    return type(value) is list and all(exact(v, depth - 1, *types) for v in value)
+
+
+@st.composite
+def mutated_grid_config(draw):
+    """A valid grid config after one to three mutations, at the top level
+    or in the task: a key dropped, a value or a list item swapped for
+    another JSON value, or a value nested in a list; then, half the time,
+    the bytes truncated or spliced with random bytes."""
+    obj = copy.deepcopy(draw(st.sampled_from(VALID_GRIDS)))
+    values = st.sampled_from(GRID_FUZZ_VALUES).map(copy.deepcopy)
+    for _ in range(draw(st.integers(1, 3))):
+        task = obj.get("task")
+        block = task if isinstance(task, dict) and task and draw(st.booleans()) else obj
+        if not block:
+            break
+        key = draw(st.sampled_from(sorted(block)))
+        kind = draw(st.sampled_from(("drop", "swap", "swap_item", "nest")))
+        if kind == "drop":
+            del block[key]
+        elif kind == "swap_item" and isinstance(block[key], list) and block[key]:
+            block[key][draw(st.integers(0, len(block[key]) - 1))] = draw(values)
+        elif kind == "nest":
+            block[key] = [block[key]]
+        else:
+            block[key] = draw(values)
+    data = json.dumps(obj).encode()
+    cut = draw(st.sampled_from(("none", "none", "truncate", "splice")))
+    if cut == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif cut == "splice":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data
+
+
+class TestGridConfigFuzz:
+    @settings(deadline=None, max_examples=400)
+    @given(data=mutated_grid_config())
+    def test_mutated_config_is_config_error_or_exact(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-grid.json"
+        path.write_bytes(data)
+        try:
+            spec = cli._load_grid_config(path)
+        except cli.ConfigError:
+            return
+        # no silent load: what loads is exactly what the file says
+        obj = json.loads(data)
+        task = obj["task"]
+        assert exact(task["model"], 0, str) and spec.task.model == task["model"]
+        assert spec.task.kind == task.get("kind", "greedy_recovery") == "greedy_recovery"
+        assert exact(task.get("budget", 16), 0, int) and spec.task.budget == task.get("budget", 16)
+        assert exact(task.get("stop_tokens", []), 1, int)
+        assert spec.task.stop_tokens == frozenset(task.get("stop_tokens", []))
+        if "prompt_ids" in task:
+            assert exact(task["prompt_ids"], 2, int)
+            assert spec.task.prompts == tuple(map(tuple, task["prompt_ids"]))
+        else:
+            assert exact(task["prompts"], 1, str)
+            assert spec.task.prompts == tuple(tuple(p.encode()) for p in task["prompts"])
+        for name, types in (("betas", (int, float)), ("top_ps", (int, float)), ("temperatures", (int, float)),
+                            ("modes", (str,)), ("seeds", (int,))):
+            if name in obj:
+                assert exact(obj[name], 1, *types) and getattr(spec, name) == tuple(obj[name])
+        assert all(math.isfinite(x) for x in spec.betas + spec.top_ps + spec.temperatures)
 
 
 class TestBestOfN:

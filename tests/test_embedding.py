@@ -30,6 +30,14 @@ class TestLookup:
         with pytest.raises(IndexError):
             lookup(t, -1)
 
+    def test_float_and_bool_ids_rejected(self):
+        # int() once took 1.7 and True as row 1
+        t = table_from([[1.0, 0.0], [0.0, 1.0]])
+        for bad in (1.7, True, "1"):
+            with pytest.raises(TypeError):
+                lookup(t, bad)
+        np.testing.assert_array_equal(lookup(t, np.int64(1)), [0.0, 1.0])
+
     def test_returns_copy(self):
         t = table_from([[1.0, 0.0], [0.0, 1.0]])
         row = lookup(t, 0)

@@ -1,10 +1,14 @@
 """Grid harness, greedy-recovery scoring, best-of-N, and throughput."""
 
+import csv
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moi import experiments
 from moi.experiments import (
@@ -19,7 +23,6 @@ from moi.experiments import (
     greedy_recovery_score,
     load_results,
     run_grid,
-    save_results,
     throughput_bench,
     trial_seed,
 )
@@ -37,6 +40,12 @@ def failing_scorer(model, cfg, prompts, budget):
     if cfg.mix.beta > 1.0:
         raise RuntimeError(f"boom at beta {cfg.mix.beta}")
     return 0.5
+
+
+def fixed_scorer(model, cfg, prompts, budget):
+    """External scorer with a fixed score per beta; NaN at beta 2, which
+    the CSV writes as "error"."""
+    return {1.0: 0.25, 2.0: math.nan, 3.0: 0.75}[cfg.mix.beta]
 
 
 def small_task(model, budget=6) -> TaskSpec:
@@ -284,10 +293,15 @@ class TestRunGrid:
             run_grid(spec, jobs=jobs)
 
     def test_results_csv_round_trip(self, small_model, tmp_path):
-        table = toy_table()
-        save_results(table, tmp_path / "r.csv")
+        task = TaskSpec(model=small_model, prompts=PROMPTS, budget=2, kind="external_scorer", scorer=fixed_scorer)
+        spec = GridSpec(task=task, betas=(1.0, 2.0, 3.0), top_ps=(0.9,), temperatures=(0.7,), seeds=(0, 1))
+        table = run_grid(spec, out_path=tmp_path / "r.csv")
         back = load_results(tmp_path / "r.csv")
-        assert back.rows == table.rows
+        # repr, because a NaN score never equals itself
+        fields = [(r.mode, r.beta, r.top_p, r.temperature, r.seed, repr(r.score)) for r in back.rows]
+        assert fields == [(r.mode, r.beta, r.top_p, r.temperature, r.seed, repr(r.score)) for r in table.rows]
+        assert [f[-1] for f in fields] == ["0.25", "0.25", "nan", "nan", "0.75", "0.75"]
+        assert "moi,2.0,0.9,0.7," in (tmp_path / "r.csv").read_text() and not table.errors
 
     @pytest.mark.parametrize(
         "row, message",
@@ -308,6 +322,84 @@ class TestRunGrid:
         path = tmp_path / "r.csv"
         path.write_text("mode,beta,top_p,temperature,seed,score,tokens_per_s\nmoi,1.0,0.9,0.7,0,0.5,\n")
         with pytest.raises(ResultsFormatError, match="line 1: unexpected results header"):
+            load_results(path)
+
+
+VALID_RESULTS = (
+    list(RESULTS_HEADER),
+    ["moi", "1.0", "0.9", "0.7", "0", "0.5"],
+    ["standard", "2.0", "0.95", "0.6", "3", "error"],
+    ["direct_mixture", "0.25", "0.4", "1.0", "12", "1.0"],
+)
+RESULTS_FUZZ_FIELDS = ("", "x", "nan", "inf", "-inf", "1e400", "-1", "1.5", "0", "7", "error", "moi", "standard",
+                       "1" + "0" * 30, "a,b", 'say "hi"', "1\n2", " 3 ")
+
+
+@st.composite
+def mutated_results_csv(draw):
+    """A valid results CSV after one to three mutations: a field dropped,
+    swapped for another token (quoted by the writer where it must be) or
+    given an extra field, or a row dropped; then, half the time, the bytes
+    truncated or spliced with random bytes."""
+    rows = [list(r) for r in VALID_RESULTS]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(("drop_field", "swap", "extra", "drop_row")))
+        if kind == "drop_row" and len(rows) > 1:
+            del rows[i]
+        elif kind == "extra":
+            rows[i].append(draw(st.sampled_from(RESULTS_FUZZ_FIELDS)))
+        elif rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            if kind == "drop_field":
+                del rows[i][j]
+            else:
+                rows[i][j] = draw(st.sampled_from(RESULTS_FUZZ_FIELDS))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    data = out.getvalue().encode()
+    cut = draw(st.sampled_from(("none", "none", "truncate", "splice")))
+    if cut == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif cut == "splice":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data
+
+
+class TestResultsFuzz:
+    @settings(deadline=None, max_examples=400)
+    @given(data=mutated_results_csv())
+    def test_mutated_csv_is_format_error_or_exact(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-results.csv"
+        path.write_bytes(data)
+        try:
+            table = load_results(path)
+        except ResultsFormatError:
+            return
+        # no silent load: one row per CSV line after the header, each
+        # field read as it is written
+        header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        assert tuple(header) == RESULTS_HEADER and len(table.rows) == len(rows)
+        for row, fields in zip(table.rows, rows):
+            mode, beta, top_p, temperature, seed, score = fields
+            assert row.mode == mode and row.seed == int(seed)
+            assert (row.beta, row.top_p, row.temperature) == (float(beta), float(top_p), float(temperature))
+            assert math.isnan(row.score) if score == "error" else row.score == float(score)
+            assert all(math.isfinite(x) for x in (row.beta, row.top_p, row.temperature))
+
+    def test_non_utf8_byte_is_format_error(self, tmp_path):
+        # once a raw UnicodeDecodeError
+        path = tmp_path / "r.csv"
+        path.write_bytes(f"{','.join(RESULTS_HEADER)}\nmoi,1.0,0.9,0.7,0,0.5\nmoi,1.0,0.9,0.7,1,0.\xff\n".encode("latin-1"))
+        with pytest.raises(ResultsFormatError, match="line 3: not UTF-8"):
+            load_results(path)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "1e400"])
+    def test_non_finite_number_is_format_error(self, tmp_path, field):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{','.join(RESULTS_HEADER)}\nmoi,{field},0.9,0.7,0,0.5\n")
+        with pytest.raises(ResultsFormatError, match="line 2: .* is not a finite number"):
             load_results(path)
 
 

@@ -233,5 +233,29 @@ class TestTypes:
         with pytest.raises(ValueError, match="aligned"):
             MixingWeights(ids=np.array([0, 1, 2]), weights=np.array([0.5, 0.5]))
 
+    # each of these was once truncated to an int: 1.7 -> 1, 0.9 -> 0, 1.9 -> 1
+    def test_mixing_weights_float_ids_rejected(self):
+        with pytest.raises(TypeError, match="integer dtype"):
+            MixingWeights([1.7, 0.2], [0.5, 0.5])
+        with pytest.raises(TypeError, match="integer dtype"):
+            MixingWeights([True, False], [0.5, 0.5])
+
+    def test_posterior_float_ids_rejected(self):
+        with pytest.raises(TypeError, match="integer dtype"):
+            posterior_mix_weights([0.9, 1.2], [0.5, 0.5], 1, 1.0, 4)
+
+    def test_posterior_float_sampled_rejected(self):
+        for sampled in (1.9, True, "1"):
+            with pytest.raises(TypeError):
+                posterior_mix_weights([0, 1], [0.5, 0.5], sampled, 1.0, 4)
+
+    def test_numpy_integer_ids_accepted(self):
+        want = posterior_mix_weights([0, 1], [0.5, 0.5], 1, 1.0, 4)
+        for ids in (np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=np.int32)):
+            got = posterior_mix_weights(ids, [0.5, 0.5], np.int16(1), 1.0, 4)
+            assert got.ids.dtype == np.int64 and got.ids.tolist() == [0, 1]
+            assert got.weights.tobytes() == want.weights.tobytes()
+        assert MixingWeights(np.array([3], dtype=np.uint64), [1.0]).ids.tolist() == [3]
+
     def test_weight_of_outside_support(self):
         assert one_hot(1).weight_of(2) == 0.0

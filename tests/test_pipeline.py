@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moi.experiments import greedy_decode
 from moi.mix_core import MixConfig, check_probs, entropy_of, posterior_mix_weights
 from moi.pipeline import (
     GenConfig,
@@ -24,6 +25,7 @@ from moi.pipeline import (
     write_trace,
 )
 from moi.sampler import SamplerConfig
+from moi.toy_lm import Model, ModelConfig, init_random
 
 
 def gen_cfg(mode="moi", beta=1.0, seed=0, max_tokens=16, **kw) -> GenConfig:
@@ -149,6 +151,57 @@ class TestIntegerInputs:
         assert generate(bench_model, np.array([97, 98]), cfg).tokens == generate(bench_model, [97, 98], plain).tokens
 
 
+class TestStartRule:
+    """`generate`, `greedy_decode` and `prefill` start through one rule:
+    prompt plus new tokens must fit the context, checked before any
+    forward."""
+
+    PROMPT = list(range(1, 9))
+
+    @pytest.fixture(scope="class")
+    def model12(self):
+        return init_random(ModelConfig(vocab=48, dim=32, heads=4, layers=2, context=12, init_seed=5))
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        calls = []
+        real = Model.forward_step
+        monkeypatch.setattr(Model, "forward_step", lambda self, state, x: calls.append(1) or real(self, state, x))
+        return calls
+
+    def test_last_request_that_fits_is_served(self, model12, forwards):
+        assert len(generate(model12, self.PROMPT, gen_cfg(max_tokens=4)).tokens) == 4
+        assert len(greedy_decode(model12, self.PROMPT, 4)) == 4
+        assert len(forwards) == 2 * (len(self.PROMPT) + 3)
+
+    def test_one_token_more_raises_before_any_forward(self, model12, forwards):
+        # greedy_decode once served 8 + 5 on context 12, and ran 13 forwards
+        # before failing at 8 + 6
+        message = r"^prompt \(8\) \+ max_tokens \(5\) exceeds model context 12$"
+        with pytest.raises(ValueError, match=message):
+            generate(model12, self.PROMPT, gen_cfg(max_tokens=5))
+        with pytest.raises(ValueError, match=message):
+            greedy_decode(model12, self.PROMPT, 5)
+        for budget in (6, 200):
+            with pytest.raises(ValueError, match=rf"max_tokens \({budget}\) exceeds"):
+                greedy_decode(model12, self.PROMPT, budget)
+        assert forwards == []
+
+    def test_greedy_decode_needs_a_token(self, model12, forwards):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="at least 1 new token"):
+                greedy_decode(model12, self.PROMPT, budget)
+        assert forwards == []
+
+    def test_prefill_leaves_room_for_a_token(self, model12, forwards):
+        with pytest.raises(ValueError, match=r"^prompt \(12\) \+ max_tokens \(1\) exceeds model context 12$"):
+            prefill(model12, list(range(12)))
+        assert forwards == []
+        start = prefill(model12, list(range(11)))
+        assert start.state.capacity == 11
+        assert generate(model12, list(range(11)), gen_cfg(max_tokens=1), prefix=start).tokens
+
+
 class TestPrefix:
     PROMPT = list(b"hello")
 
@@ -190,8 +243,6 @@ class TestPrefix:
             generate(bench_model, self.PROMPT[:-1], gen_cfg(), prefix=start)
 
     def test_prefix_from_another_model_rejected(self, bench_model):
-        from moi.toy_lm import ModelConfig, init_random
-
         twin = init_random(ModelConfig(init_seed=9))  # same weights, another object
         start = prefill(twin, self.PROMPT)
         with pytest.raises(ValueError, match="another model"):
@@ -538,8 +589,6 @@ class TestReplayVerify:
     def test_replay_of_engine_trace_is_exact_at_odd_vocab(self):
         # np.log and math.log of 9170 differ by one ulp: with one entropy
         # implementation the engine and replay still agree bit for bit
-        from moi.toy_lm import ModelConfig, init_random
-
         model = init_random(ModelConfig(vocab=9170, dim=8, heads=2, layers=1, context=40))
         cfg = GenConfig(mix=MixConfig("moi", 1.0), sampler=SamplerConfig(1.0, 1.0, seed=0), max_tokens=8)
         res = generate(model, [1, 2, 3], cfg)
