@@ -30,6 +30,9 @@ _GRID_FIELDS = {
     "model": (0, {str}), "kind": (0, {str}), "prompts": (1, {str}), "modes": (1, {str}),
     "betas": (1, {int, float}), "top_ps": (1, {int, float}), "temperatures": (1, {int, float}),
 }
+# the keys each level of a grid config may hold (a typo raises ConfigError)
+_GRID_KEYS = frozenset({"task", "betas", "top_ps", "temperatures", "modes", "seeds"})
+_TASK_KEYS = frozenset({"model", "kind", "prompts", "prompt_ids", "budget", "stop_tokens"})
 
 
 class ConfigError(ValueError):
@@ -86,6 +89,12 @@ def _has_json_type(value, depth: int, types: set) -> bool:
     return type(value) is list and all(_has_json_type(v, depth - 1, types) for v in value)
 
 
+def _check_grid_keys(obj: dict, known: frozenset) -> None:
+    """ConfigError naming every key of `obj` that is not in `known`."""
+    if set(obj) - known:
+        raise ConfigError(f"grid config: unknown field(s) {sorted(set(obj) - known)}; expected {sorted(known)}")
+
+
 def _check_grid_fields(obj: dict) -> None:
     """ConfigError naming the first field of `obj` whose JSON type is wrong."""
     for key, (depth, types) in _GRID_FIELDS.items():
@@ -108,6 +117,7 @@ def _finite_float(text: str) -> float:
 
 
 def _task_from_json(obj: dict) -> experiments.TaskSpec:
+    _check_grid_keys(obj, _TASK_KEYS)
     _check_grid_fields(obj)
     if "model" not in obj:
         raise ConfigError("grid config task needs a 'model' field (a weight file path)")
@@ -140,6 +150,7 @@ def _load_grid_config(path) -> experiments.GridSpec:
         raise ConfigError(f"{path}: not a JSON grid config: {exc}") from exc
     if type(obj) is not dict or type(obj.get("task")) is not dict:
         raise ConfigError(f"{path}: grid config needs a 'task' object")
+    _check_grid_keys(obj, _GRID_KEYS)
     _check_grid_fields(obj)
     try:
         return experiments.GridSpec(

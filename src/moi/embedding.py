@@ -9,7 +9,7 @@ final vector is narrowed to the table's float32 storage dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +19,10 @@ from .mix_core import MixingWeights
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """V x d matrix of float32 token embeddings."""
+    """V x d matrix of float32 token embeddings and its float64 copy."""
 
     matrix: np.ndarray
+    matrix64: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float32)
@@ -32,6 +33,7 @@ class EmbeddingTable:
         if not np.all(np.isfinite(m)):
             raise ValueError("embedding matrix contains non-finite entries")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix64", m.astype(np.float64))
 
     @property
     def vocab(self) -> int:
@@ -58,11 +60,11 @@ def mix_embeddings(table: EmbeddingTable, weights: MixingWeights) -> np.ndarray:
     ids = weights.ids
     if np.any(ids < 0) or np.any(ids >= table.vocab):
         raise IndexError(f"weight support outside vocabulary of size {table.vocab}")
-    return mix(table.matrix, ids, weights.weights)
+    return mix(table.matrix64, ids, weights.weights)
 
 
-def mix(matrix: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """`weights` over rows `ids` of `matrix`, summed in float64 in ascending
+def mix(matrix64: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """`weights` over rows `ids` of a table's `matrix64`, summed in ascending
     id order and narrowed to float32.  No checks (see `mix_embeddings`)."""
-    order = np.argsort(ids, kind="stable")
-    return kernels.mix_rows(matrix, ids[order], weights[order]).astype(np.float32)
+    order = ids.argsort(kind="stable")
+    return kernels.mix_rows(matrix64, ids[order], weights[order]).astype(np.float32)

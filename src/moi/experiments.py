@@ -21,14 +21,13 @@ import gc
 import io
 import itertools
 import math
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .mix_core import MODES, MixConfig
+from .mix_core import MODES, MixConfig, token_id
 from .pipeline import GenConfig, Prefill, check_prompt, generate, prefill, start_state
 from .sampler import SamplerConfig
 from .toy_lm import Model, load_weights
@@ -65,11 +64,11 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.kind == "external_scorer" and not callable(self.scorer):
             raise ValueError("external_scorer task needs a callable `scorer`")
-        prompts = tuple(tuple(map(operator.index, p)) for p in self.prompts)
+        prompts = tuple(tuple(map(token_id, p)) for p in self.prompts)
         if not prompts:
             raise ValueError("prompt set must be nonempty")
         object.__setattr__(self, "prompts", prompts)
-        object.__setattr__(self, "stop_tokens", frozenset(map(operator.index, self.stop_tokens)))
+        object.__setattr__(self, "stop_tokens", frozenset(map(token_id, self.stop_tokens)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     """
     if budget < 1:
         raise ValueError("budget must be >= 1: nothing to compare")
-    prompts = [tuple(map(operator.index, p)) for p in prompts]
+    prompts = [tuple(map(token_id, p)) for p in prompts]
     if not prompts:
         raise ValueError("prompt set must be nonempty")
     cfg = replace(cfg, max_tokens=budget)
@@ -483,7 +482,7 @@ def throughput_bench(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    prompts = [tuple(map(operator.index, p)) for p in prompts]
+    prompts = [tuple(map(token_id, p)) for p in prompts]
     cfgs = (replace(baseline_cfg, max_tokens=budget), replace(variant_cfg, max_tokens=budget))
     _timed_run(model, cfgs, prompts, run=0)  # warm caches and the allocator
     counts = np.array([_timed_run(model, cfgs, prompts, run) for run in range(runs)])

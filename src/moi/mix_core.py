@@ -110,7 +110,7 @@ def check_probs(probs: np.ndarray) -> np.ndarray:
     total = float(np.add.reduce(p))
     if not math.isfinite(total):
         raise ValueError("probability vector contains non-finite entries or overflows")
-    if p.min() < 0.0:
+    if np.minimum.reduce(p) < 0.0:
         raise ValueError("probability vector contains negative entries")
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, expected 1 within {_SUM_TOL}")
@@ -133,7 +133,7 @@ def entropy_of(p: np.ndarray, vocab_size: int) -> float:
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2 for the log V normalizer, got {vocab_size}")
     nz = p[p > 0.0]
-    h = -float(np.sum(nz * np.log(nz))) / math.log(vocab_size)
+    h = -float(np.add.reduce(nz * np.log(nz))) / math.log(vocab_size)
     return min(1.0, max(0.0, h))
 
 
@@ -152,7 +152,7 @@ def feedback_weights(mode: str, p: np.ndarray, pos: int, entropy: float, beta: f
     denom = beta + 1.0
     w = p * (entropy / denom)
     w[pos] += (beta + 1.0 - entropy) / denom
-    total = float(np.sum(w))
+    total = float(np.add.reduce(w))
     if abs(total - 1.0) > _RENORM_TOL:
         w /= total
     return w

@@ -53,11 +53,11 @@ class GenConfig:
     stop_tokens: frozenset = frozenset()
 
     def __post_init__(self):
-        # operator.index, not int(): a float count or token id raises TypeError
+        # not int(): a float count or token id raises TypeError, a bool id too
         object.__setattr__(self, "max_tokens", operator.index(self.max_tokens))
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        object.__setattr__(self, "stop_tokens", frozenset(map(operator.index, self.stop_tokens)))
+        object.__setattr__(self, "stop_tokens", frozenset(map(mix_core.token_id, self.stop_tokens)))
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,9 @@ class Prefill:
 
 
 def check_prompt(model: Model, prompt) -> list[int]:
-    """`prompt` as a list of ints; TypeError if it holds a non-integer,
-    ValueError if it is empty or holds an id outside the vocabulary."""
-    prompt = [operator.index(t) for t in prompt]
+    """`prompt` as a list of ints; TypeError if it holds a non-integer or a
+    bool, ValueError if it is empty or holds an id outside the vocabulary."""
+    prompt = [mix_core.token_id(t) for t in prompt]
     vocab = model.config.vocab
     if not prompt:
         raise ValueError("prompt must contain at least one token")
@@ -189,7 +189,7 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     state, logits = start_state(model, prompt, cfg.max_tokens, prefix)
     prefill_seconds = time.perf_counter() - t0
 
-    matrix = model.embedding_table.matrix
+    table = model.embedding_table
     tokens: list[int] = []
     records: list[StepRecord] = []
     t1 = time.perf_counter()
@@ -216,7 +216,7 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
         )
         if token in cfg.stop_tokens or step == cfg.max_tokens - 1:
             break
-        fed = matrix[token].copy() if applied_mode == "standard" else mix(matrix, ids, weights)
+        fed = table.matrix[token].copy() if applied_mode == "standard" else mix(table.matrix64, ids, weights)
         logits = model.forward_step(state, fed)
     decode_seconds = time.perf_counter() - t1
 

@@ -6,6 +6,9 @@ descending-probability prefix whose cumulative mass reaches top_p,
 renormalize, then draw by inverse CDF.  The random stream is a PCG64
 generator; each token consumes exactly one float64 draw, so a trace is
 reproducible from (logits, T, top_p, seed) alone.
+
+These functions run once per decoded token and follow the hot-path rule
+of the kernels module (ufunc and array methods, byte-identical results).
 """
 
 from __future__ import annotations
@@ -57,12 +60,15 @@ def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     if z.ndim != 1 or z.size == 0:
         raise ValueError("logits must be a nonempty 1-D array")
     # max propagates NaN and +inf, min catches -inf
-    if not (math.isfinite(z.max()) and math.isfinite(z.min())):
+    top = np.maximum.reduce(z)
+    if not (math.isfinite(top) and math.isfinite(np.minimum.reduce(z))):
         raise ValueError("logits contain non-finite entries")
-    z = z / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    # max(z) / T is max(z / T): division by T > 0 and rounding are monotone
+    e = z / temperature
+    e -= top / temperature
+    np.exp(e, out=e)
+    e /= np.add.reduce(e)
+    return e
 
 
 def top_p_truncate(probs: np.ndarray, top_p: float) -> TruncatedDistribution:
@@ -76,17 +82,15 @@ def top_p_truncate(probs: np.ndarray, top_p: float) -> TruncatedDistribution:
     if not (0.0 < top_p <= 1.0):
         raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
 
-    order = np.argsort(-p, kind="stable")
+    order = np.negative(p).argsort(kind="stable")
     sorted_p = p[order]
-    cum = np.cumsum(sorted_p)
-    keep = int(np.searchsorted(cum, top_p, side="left")) + 1
-    keep = min(keep, p.size)
+    keep = min(int(np.add.accumulate(sorted_p).searchsorted(top_p, side="left")) + 1, p.size)
     # never keep zero-probability tail entries dragged in by float drift
     while keep > 1 and sorted_p[keep - 1] <= 0.0:
         keep -= 1
 
     kept = sorted_p[:keep]
-    return TruncatedDistribution(order[:keep], kept / kept.sum())
+    return TruncatedDistribution(order[:keep], kept / np.add.reduce(kept))
 
 
 def sample_position(dist: TruncatedDistribution, rng: np.random.Generator) -> int:
@@ -96,8 +100,5 @@ def sample_position(dist: TruncatedDistribution, rng: np.random.Generator) -> in
     first support position whose cumulative probability exceeds the draw.
     """
     u = rng.random()
-    cum = np.cumsum(dist.probs)
-    pos = int(np.searchsorted(cum, u, side="right"))
-    if pos >= dist.ids.size:  # u landed beyond the last cumsum by drift
-        pos = dist.ids.size - 1
-    return pos
+    pos = int(np.add.accumulate(dist.probs).searchsorted(u, side="right"))
+    return min(pos, dist.ids.size - 1)  # u beyond the last cumulative sum by drift

@@ -104,6 +104,8 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 TENSOR_ORDER = tuple(_tensor_shapes(ModelConfig()).keys())
+# the tensors of one layer's tuple in the kernel's parameter record
+LAYER_ORDER = TENSOR_ORDER[2:-2]
 _GAIN_TENSORS = frozenset({"ln1_g", "ln2_g", "lnf_g"})
 
 
@@ -152,8 +154,10 @@ class Model:
         self.config = config
         self.params = {name: np.asarray(params[name], dtype=np.float32) for name in shapes}
         self.embedding_table = EmbeddingTable(self.params["tok_emb"])
-        # the kernel's parameter record: float64 working copies in TENSOR_ORDER
-        self.kernel_params = tuple(self.params[name].astype(np.float64) for name in TENSOR_ORDER)
+        # the kernel's parameter record (see the kernels module), built once
+        f64 = {name: self.params[name].astype(np.float64) for name in TENSOR_ORDER[1:]}
+        layers = tuple(tuple(f64[name][layer] for name in LAYER_ORDER) for layer in range(config.layers))
+        self.kernel_params = (self.embedding_table.matrix64, f64["pos_emb"], layers, f64["lnf_g"], f64["lnf_b"])
 
     def new_state(self, capacity: int | None = None) -> DecoderState:
         """An empty state with room for `capacity` positions (default and

@@ -216,9 +216,13 @@ class TestGridConfigTypes:
             ('{"task": {"model": "m.tlm", "prompts": ["\\ud800"]}}', "surrogate"),
             ('{"task": {"model": "m.tlm", "prompts": ["ab"]}', "not a JSON grid config"),
             ('{"task": {"model": "m.tlm", "prompts": ["\xff"]}}', "not a JSON grid config"),
+            # once loaded silently with the default temperatures (72 configs, not 24)
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "temperature": [0.7]}', "unknown field.*'temperature'"),
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"], "budgets": 3}}', "unknown field.*'budgets'"),
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "budget": 3}', "unknown field.*'budget'"),
         ],
         ids=["no-model", "unknown-kind", "external-scorer", "no-prompts", "no-betas", "float-overflow",
-             "lone-surrogate", "truncated", "not-utf8"],
+             "lone-surrogate", "truncated", "not-utf8", "unknown-key", "unknown-task-key", "task-key-at-top"],
     )
     def test_bad_config_is_config_error(self, tmp_path, text, message):
         path = tmp_path / "grid.json"
@@ -237,6 +241,10 @@ VALID_GRIDS = (
      "task": {"kind": "greedy_recovery", "model": "m.tlm", "prompts": ["ab", "c"], "budget": 4, "stop_tokens": [7]}},
     {"task": {"model": "m.tlm", "prompt_ids": [[1, 2], [3]], "budget": 2}},
 )
+GRID_KEYS = {"task", "betas", "top_ps", "temperatures", "modes", "seeds"}
+TASK_KEYS = {"model", "kind", "prompts", "prompt_ids", "budget", "stop_tokens"}
+# typos, and keys of the other level
+STRAY_KEYS = ("temperature", "beta", "top_p", "seed", "mode", "prompt", "budgets", "x", "task", "betas", "model")
 GRID_FUZZ_VALUES = (None, True, False, 0, -1, 2, 2**70, 1.5, float("nan"), float("inf"), "", "ab", "moi",
                     "external_scorer", "greedy_recovery", [], [1], [[0.5]], [True], ["x"], [[1, 2]], {"a": 1})
 
@@ -252,8 +260,8 @@ def exact(value, depth: int, *types) -> bool:
 def mutated_grid_config(draw):
     """A valid grid config after one to three mutations, at the top level
     or in the task: a key dropped, a value or a list item swapped for
-    another JSON value, or a value nested in a list; then, half the time,
-    the bytes truncated or spliced with random bytes."""
+    another JSON value, a value nested in a list, or a stray key added;
+    then, half the time, the bytes truncated or spliced with random bytes."""
     obj = copy.deepcopy(draw(st.sampled_from(VALID_GRIDS)))
     values = st.sampled_from(GRID_FUZZ_VALUES).map(copy.deepcopy)
     for _ in range(draw(st.integers(1, 3))):
@@ -262,8 +270,10 @@ def mutated_grid_config(draw):
         if not block:
             break
         key = draw(st.sampled_from(sorted(block)))
-        kind = draw(st.sampled_from(("drop", "swap", "swap_item", "nest")))
-        if kind == "drop":
+        kind = draw(st.sampled_from(("drop", "swap", "swap_item", "nest", "stray")))
+        if kind == "stray":
+            block[draw(st.sampled_from(STRAY_KEYS))] = draw(values)
+        elif kind == "drop":
             del block[key]
         elif kind == "swap_item" and isinstance(block[key], list) and block[key]:
             block[key][draw(st.integers(0, len(block[key]) - 1))] = draw(values)
@@ -294,6 +304,7 @@ class TestGridConfigFuzz:
         # no silent load: what loads is exactly what the file says
         obj = json.loads(data)
         task = obj["task"]
+        assert set(obj) <= GRID_KEYS and set(task) <= TASK_KEYS
         assert exact(task["model"], 0, str) and spec.task.model == task["model"]
         assert spec.task.kind == task.get("kind", "greedy_recovery") == "greedy_recovery"
         assert exact(task.get("budget", 16), 0, int) and spec.task.budget == task.get("budget", 16)

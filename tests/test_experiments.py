@@ -490,6 +490,14 @@ class TestSpecValidation:
         task = TaskSpec(model=small_model, prompts=[np.array([1, 2])], budget=4, stop_tokens=[np.int64(3)])
         assert (task.prompts, task.stop_tokens) == (((1, 2),), frozenset({3}))
 
+    def test_bool_prompt_token_rejected(self, small_model):
+        with pytest.raises(TypeError, match="bool"):
+            TaskSpec(model=small_model, prompts=[(True, 2)], budget=4)
+
+    def test_bool_stop_token_rejected(self, small_model):
+        with pytest.raises(TypeError, match="bool"):
+            TaskSpec(model=small_model, prompts=PROMPTS, budget=4, stop_tokens=[False])
+
     def test_external_scorer_needs_callable(self, small_model):
         with pytest.raises(ValueError, match="callable"):
             TaskSpec(model=small_model, prompts=PROMPTS, budget=4, kind="external_scorer")

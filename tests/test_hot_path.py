@@ -1,0 +1,263 @@
+"""Byte-exact oracles for the per-token hot path.
+
+The decode step, the sampler, the weight rules and the mix avoid numpy's
+Python-level wrapper functions (see the kernels module).  Each function
+below is the plain form they replaced, kept as an oracle: the engine's
+result must equal it in every byte, so no rewrite of the hot path can move
+a token, a record or a trace.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moi import embedding, kernels, mix_core, sampler
+from moi.mix_core import MixConfig
+from moi.pipeline import GenConfig, generate
+from moi.sampler import SamplerConfig, TruncatedDistribution
+from moi.toy_lm import TENSOR_ORDER
+
+# ---------------------------------------------------------------------------
+# The oracles: the plain numpy forms
+# ---------------------------------------------------------------------------
+
+
+def oracle_layer_norm(x, gain, bias):
+    d = x.shape[0]
+    mean = np.add.reduce(x) / d
+    diff = x - mean
+    var = np.add.reduce(diff * diff) / d
+    return gain * (diff / math.sqrt(var + kernels.LN_EPS)) + bias
+
+
+def oracle_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)))
+
+
+def oracle_decode_step(x, pos, params, k_cache, v_cache):
+    """`params` is the model's float64 tensors in TENSOR_ORDER."""
+    (tok_emb, pos_emb, ln1_g, ln1_b, w_att, b_att, w_proj, b_proj,
+     ln2_g, ln2_b, w_fc, b_fc, w_out, b_out, lnf_g, lnf_b) = params
+    layers, n_heads, _, head_dim = k_cache.shape
+    d = x.shape[0]
+    scale = 1.0 / math.sqrt(head_dim)
+    h = x + pos_emb[pos]
+    for layer in range(layers):
+        normed = oracle_layer_norm(h, ln1_g[layer], ln1_b[layer])
+        qkv = normed @ w_att[layer] + b_att[layer]
+        q = qkv[:d].reshape(n_heads, head_dim, 1)
+        k_cache[layer, :, pos] = qkv[d : 2 * d].reshape(n_heads, head_dim)
+        v_cache[layer, :, pos] = qkv[2 * d :].reshape(n_heads, head_dim)
+        scores = (k_cache[layer, :, : pos + 1] @ q)[:, :, 0] * scale
+        scores -= scores.max(axis=1, keepdims=True)
+        att = np.exp(scores)
+        att /= att.sum(axis=1, keepdims=True)
+        ctx = (att[:, None, :] @ v_cache[layer, :, : pos + 1]).reshape(d)
+        h = h + ctx @ w_proj[layer] + b_proj[layer]
+        normed = oracle_layer_norm(h, ln2_g[layer], ln2_b[layer])
+        inner = oracle_gelu(normed @ w_fc[layer] + b_fc[layer])
+        h = h + inner @ w_out[layer] + b_out[layer]
+    return tok_emb @ oracle_layer_norm(h, lnf_g, lnf_b)
+
+
+def oracle_apply_temperature(logits, temperature):
+    z = np.asarray(logits, dtype=np.float64)
+    z = z / temperature
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def oracle_top_p_truncate(p, top_p):
+    order = np.argsort(-p, kind="stable")
+    sorted_p = p[order]
+    cum = np.cumsum(sorted_p)
+    keep = int(np.searchsorted(cum, top_p, side="left")) + 1
+    keep = min(keep, p.size)
+    while keep > 1 and sorted_p[keep - 1] <= 0.0:
+        keep -= 1
+    kept = sorted_p[:keep]
+    return TruncatedDistribution(order[:keep], kept / kept.sum())
+
+
+def oracle_sample_position(dist, rng):
+    u = rng.random()
+    cum = np.cumsum(dist.probs)
+    pos = int(np.searchsorted(cum, u, side="right"))
+    if pos >= dist.ids.size:
+        pos = dist.ids.size - 1
+    return pos
+
+
+def oracle_entropy_of(p, vocab_size):
+    nz = p[p > 0.0]
+    h = -float(np.sum(nz * np.log(nz))) / math.log(vocab_size)
+    return min(1.0, max(0.0, h))
+
+
+def oracle_feedback_weights(mode, p, pos, entropy, beta):
+    if mode == "standard":
+        w = np.zeros(p.shape[0], dtype=np.float64)
+        w[pos] = 1.0
+        return w
+    if mode == "direct_mixture":
+        return p.copy()
+    denom = beta + 1.0
+    w = p * (entropy / denom)
+    w[pos] += (beta + 1.0 - entropy) / denom
+    total = float(np.sum(w))
+    if abs(total - 1.0) > 1e-12:
+        w /= total
+    return w
+
+
+def oracle_mix(matrix32, ids, weights):
+    """Gathers float32 rows and casts them, as the engine once did."""
+    order = np.argsort(ids, kind="stable")
+    return (weights[order] @ matrix32[ids[order]].astype(np.float64)).astype(np.float32)
+
+
+def oracle_generate(model, prompt, cfg):
+    """The decode loop of `pipeline.generate` (no stop tokens), built from
+    the oracles: (token, entropy, support, probs, weights) per step."""
+    params = tuple(model.params[name].astype(np.float64) for name in TENSOR_ORDER)
+    state = model.new_state()
+    table = model.embedding_table.matrix
+
+    def feed(vec, pos):
+        return oracle_decode_step(np.asarray(vec, dtype=np.float64), pos, params, state.k_cache, state.v_cache)
+
+    for pos, token in enumerate(prompt):
+        logits = feed(table[token], pos)
+    rng = sampler.make_rng(cfg.sampler.seed)
+    out = []
+    for n in range(cfg.max_tokens):
+        trunc = oracle_top_p_truncate(oracle_apply_temperature(logits, cfg.sampler.temperature), cfg.sampler.top_p)
+        pos = oracle_sample_position(trunc, rng)
+        token = int(trunc.ids[pos])
+        h = oracle_entropy_of(trunc.probs, model.config.vocab)
+        w = oracle_feedback_weights(cfg.mix.mode, trunc.probs, pos, h, cfg.mix.beta)
+        out.append((token, h, trunc.ids, trunc.probs, w))
+        fed = table[token] if cfg.mix.mode == "standard" else oracle_mix(table, trunc.ids, w)
+        logits = feed(fed, len(prompt) + n)
+    return out
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The kernel over every position
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["default_model", "small_model"])
+def test_decode_step_is_byte_identical_at_every_position(which, request):
+    model = request.getfixturevalue(which)
+    cfg = model.config
+    params = tuple(model.params[name].astype(np.float64) for name in TENSOR_ORDER)
+    want_state, got_state = model.new_state(), model.new_state()
+    rng = np.random.Generator(np.random.PCG64(11))
+    for pos in range(cfg.context):
+        # alternate table rows (the standard feed) and arbitrary vectors (a mix)
+        x = model.embedding_table.matrix64[pos % cfg.vocab] if pos % 2 else rng.normal(0.0, 0.3, size=cfg.dim)
+        want = oracle_decode_step(x.copy(), pos, params, want_state.k_cache, want_state.v_cache)
+        got = kernels.decode_step(x, pos, model.kernel_params, got_state.k_cache, got_state.v_cache)
+        assert same_bytes(got, want), f"{which} position {pos}"
+    assert same_bytes(got_state.k_cache, want_state.k_cache)
+    assert same_bytes(got_state.v_cache, want_state.v_cache)
+
+
+def test_decode_step_leaves_its_input_alone(small_model):
+    x = np.linspace(-1.0, 1.0, small_model.config.dim)
+    before = x.copy()
+    state = small_model.new_state()
+    kernels.decode_step(x, 0, small_model.kernel_params, state.k_cache, state.v_cache)
+    assert same_bytes(x, before)
+
+
+def test_one_float64_table_copy(default_model):
+    """The mix and the logit head read the same float64 copy of the table."""
+    table = default_model.embedding_table
+    assert table.matrix64.dtype == np.float64 and same_bytes(table.matrix64, table.matrix.astype(np.float64))
+    assert default_model.kernel_params[0] is table.matrix64
+
+
+# ---------------------------------------------------------------------------
+# Sampler and weight rules over random logits
+# ---------------------------------------------------------------------------
+
+# a small pool makes ties and signed zeros common
+TIE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, -7.25, 30.0)
+logit_vectors = st.lists(
+    st.one_of(st.sampled_from(TIE_VALUES), st.floats(-60.0, 60.0, allow_nan=False)), min_size=1, max_size=300
+)
+temperatures = st.floats(0.05, 5.0)
+top_ps = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(deadline=None, max_examples=400)
+@given(logits=logit_vectors, temperature=temperatures, top_p=top_ps, seed=st.integers(0, 2**32),
+       beta=st.floats(0.01, 10.0))
+def test_sampling_step_is_byte_identical(logits, temperature, top_p, seed, beta):
+    logits = np.array(logits)
+    probs = sampler.apply_temperature(logits, temperature)
+    assert same_bytes(probs, oracle_apply_temperature(logits, temperature))
+
+    got = sampler.top_p_truncate(probs, top_p)
+    want = oracle_top_p_truncate(probs, top_p)
+    assert same_bytes(got.ids, want.ids) and same_bytes(got.probs, want.probs)
+
+    pos = sampler.sample_position(got, sampler.make_rng(seed))
+    assert pos == oracle_sample_position(want, sampler.make_rng(seed))
+
+    vocab = max(2, logits.size)
+    h = mix_core.entropy_of(got.probs, vocab)
+    assert np.float64(h).tobytes() == np.float64(oracle_entropy_of(want.probs, vocab)).tobytes()
+    for mode in mix_core.MODES:
+        assert same_bytes(mix_core.feedback_weights(mode, got.probs, pos, h, beta),
+                          oracle_feedback_weights(mode, want.probs, pos, h, beta)), mode
+
+
+@settings(deadline=None, max_examples=200)
+@given(probs=st.lists(st.sampled_from((0.0, 0.0, 0.125, 0.25, 0.5, 1.0, 3.0)), min_size=1, max_size=64)
+       .filter(lambda p: sum(p) > 0), top_p=top_ps)
+def test_truncation_of_tied_distributions_is_byte_identical(probs, top_p):
+    """Exact ties and zero tails, which a softmax seldom yields."""
+    p = np.array(probs) / sum(probs)
+    got, want = sampler.top_p_truncate(p, top_p), oracle_top_p_truncate(p, top_p)
+    assert same_bytes(got.ids, want.ids) and same_bytes(got.probs, want.probs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_mix_is_byte_identical(default_model, data):
+    table = default_model.embedding_table
+    n = data.draw(st.integers(1, table.vocab))
+    ids = np.array(data.draw(st.permutations(range(table.vocab)))[:n], dtype=np.int64)
+    raw = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) + 1e-3
+    weights = raw / raw.sum()
+    assert same_bytes(embedding.mix(table.matrix64, ids, weights), oracle_mix(table.matrix, ids, weights))
+
+
+# ---------------------------------------------------------------------------
+# The whole loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", mix_core.MODES)
+@pytest.mark.parametrize("temperature, top_p", [(0.6, 0.95), (1.0, 1.0)])
+def test_generate_records_are_byte_identical_to_the_oracle_loop(default_model, mode, temperature, top_p):
+    cfg = GenConfig(mix=MixConfig(mode, 1.0), sampler=SamplerConfig(temperature, top_p, seed=7), max_tokens=48)
+    prompt = [(11 * j + 3) % 256 for j in range(16)]
+    got = generate(default_model, prompt, cfg).records
+    want = oracle_generate(default_model, prompt, cfg)
+    assert len(got) == len(want)
+    for rec, (token, h, ids, probs, w) in zip(got, want):
+        assert rec.token == token and np.float64(rec.entropy).tobytes() == np.float64(h).tobytes()
+        assert same_bytes(rec.support, ids) and same_bytes(rec.probs, probs) and same_bytes(rec.weights, w)

@@ -18,6 +18,7 @@ from moi.pipeline import (
     GenerationResult,
     StepRecord,
     TraceFormatError,
+    check_prompt,
     generate,
     prefill,
     read_trace,
@@ -143,7 +144,17 @@ class TestIntegerInputs:
         with pytest.raises(TypeError):
             GenConfig(max_tokens=2.5)
 
+    # operator.index(True) is 1: bools once passed as token ids
+    def test_bool_prompt_token_rejected(self, bench_model):
+        with pytest.raises(TypeError, match="bool"):
+            check_prompt(bench_model, [True, 2])
+
+    def test_bool_stop_token_rejected(self):
+        with pytest.raises(TypeError, match="bool"):
+            GenConfig(stop_tokens=[True])
+
     def test_numpy_integers_accepted(self, bench_model):
+        assert check_prompt(bench_model, [np.int64(1), np.uint8(2)]) == [1, 2]
         cfg = GenConfig(sampler=SamplerConfig(seed=np.uint64(3)), max_tokens=np.int64(4), stop_tokens=[np.int32(7)])
         assert (cfg.max_tokens, cfg.stop_tokens, cfg.sampler.seed) == (4, frozenset({7}), 3)
         assert type(cfg.max_tokens) is int and type(cfg.sampler.seed) is int
