@@ -21,7 +21,7 @@ import gc
 import io
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -278,6 +278,9 @@ def run_grid(
 
     try:
         if jobs > 1:
+            # imported here: it loads multiprocessing, which a serial grid never uses
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init, initargs=(spec.task,)
             ) as pool:
@@ -305,18 +308,34 @@ class ResultsFormatError(ValueError):
     """Raised when a results CSV breaks the format; names the line."""
 
 
+# the forms repr(float) and str(int) write; float() and int() also take
+# "1_0", " 3 ", "+3" and non-ASCII digits, which would load silently
+_FLOAT_FORM = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+_INT_FORM = re.compile(r"-?[0-9]+")
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
+    if not _FLOAT_FORM.fullmatch(text):
+        raise ValueError(f"{text!r} is not a number as the writer writes it")
+    return value
+
+
+def _integer(text: str) -> int:
+    value = int(text)
+    if not _INT_FORM.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer as the writer writes it")
     return value
 
 
 def load_results(path: str | Path) -> ResultsTable:
     """The rows of a results CSV.  A file that breaks the format (bytes
-    that are not UTF-8, a wrong field count, a number that does not parse
-    or is not finite, a mode outside MODES) raises ResultsFormatError
-    naming the line; "error" is the one failed-trial score."""
+    that are not UTF-8, a wrong field count, a number that does not parse,
+    is not finite or is not in the ASCII decimal form repr and str write,
+    a mode outside MODES) raises ResultsFormatError naming the line;
+    "error" is the one failed-trial score."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -340,7 +359,7 @@ def load_results(path: str | Path) -> ResultsTable:
                     beta=_finite(beta),
                     top_p=_finite(top_p),
                     temperature=_finite(temperature),
-                    seed=int(seed),
+                    seed=_integer(seed),
                     score=math.nan if score == "error" else _finite(score),
                 )
             )
@@ -482,6 +501,8 @@ def throughput_bench(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     prompts = [tuple(map(token_id, p)) for p in prompts]
     cfgs = (replace(baseline_cfg, max_tokens=budget), replace(variant_cfg, max_tokens=budget))
     _timed_run(model, cfgs, prompts, run=0)  # warm caches and the allocator

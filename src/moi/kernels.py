@@ -15,8 +15,13 @@ layer norm use max subtraction and a fixed 1e-5 epsilon.
 Hot-path rule (here, in the sampler, the weight rules and the mix): on
 vectors this short a step costs mostly call overhead, so use ufunc methods
 (``np.add.reduce``, ``np.add.accumulate``, ``np.maximum.reduce``), array
-methods and in-place arithmetic, not numpy's wrapper functions, and keep
-every result byte-identical to the oracles in ``tests/test_hot_path.py``.
+methods (``ndarray.dot`` for the 1-D products, the same BLAS call as ``@``
+with fewer layers; ``take`` to gather table rows) and in-place arithmetic
+into as few buffers as the order of operations allows, not numpy's wrapper
+functions, and keep every result byte-identical to the oracles in
+``tests/test_hot_path.py``.  Keep an edit only if it also measures faster:
+``take`` on a 1-D array and viewing the attention scores by ``reshape``
+measured no faster than indexing (numpy 2.4, OpenBLAS 0.3.31, x86-64).
 """
 
 from __future__ import annotations
@@ -30,18 +35,25 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def _layer_norm_np(x, gain, bias):
-    # np.add.reduce(x) / d is what x.mean() computes, without its wrapper
+    # np.add.reduce(x) / d is what x.mean() computes, without its wrapper;
+    # the result is formed in the one buffer x - mean
     d = x.shape[0]
-    diff = x - np.add.reduce(x) / d
-    out = diff / math.sqrt(np.add.reduce(diff * diff) / d + LN_EPS)
+    out = x - np.add.reduce(x) / d
+    out /= math.sqrt(np.add.reduce(out * out) / d + LN_EPS)
     out *= gain
     out += bias
     return out
 
 
 def _gelu_np(x):
-    # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) in that order, in x
-    t = np.tanh(_GELU_C * (x + 0.044715 * x * x * x))
+    # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) in that order, in
+    # x and one buffer t (x + a is a + x and c * a is a * c, bit for bit)
+    t = x * 0.044715
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
     t += 1.0
     x *= 0.5
     x *= t
@@ -59,35 +71,37 @@ def decode_step(x, pos, params, k_cache, v_cache):
     tok_emb, pos_emb, layers, lnf_g, lnf_b = params
     _, n_heads, _, head_dim = k_cache.shape
     d = x.shape[0]
+    length = pos + 1
     scale = 1.0 / math.sqrt(head_dim)
 
     h = x + pos_emb[pos]
     for layer, k, v in zip(layers, k_cache, v_cache):
         ln1_g, ln1_b, w_att, b_att, w_proj, b_proj, ln2_g, ln2_b, w_fc, b_fc, w_out, b_out = layer
-        qkv = _layer_norm_np(h, ln1_g, ln1_b) @ w_att
+        qkv = _layer_norm_np(h, ln1_g, ln1_b).dot(w_att)
         qkv += b_att
-        k[:, pos] = qkv[d : 2 * d].reshape(n_heads, head_dim)
-        v[:, pos] = qkv[2 * d :].reshape(n_heads, head_dim)
+        qkv = qkv.reshape(3, n_heads, head_dim, 1)
+        k[:, pos] = qkv[1, :, :, 0]
+        v[:, pos] = qkv[2, :, :, 0]
 
-        att = (k[:, : pos + 1] @ qkv[:d].reshape(n_heads, head_dim, 1))[:, :, 0]
+        att = (k[:, :length] @ qkv[0])[:, :, 0]
         att *= scale
         att -= np.maximum.reduce(att, axis=1, keepdims=True)
         np.exp(att, out=att)
         att /= np.add.reduce(att, axis=1, keepdims=True)
         # h + ctx @ W + b is (h + ctx @ W) + b: two in-place adds in that order
-        h += (att[:, None, :] @ v[:, : pos + 1]).reshape(d) @ w_proj
+        h += (att[:, None, :] @ v[:, :length]).reshape(d).dot(w_proj)
         h += b_proj
-        pre = _layer_norm_np(h, ln2_g, ln2_b) @ w_fc
+        pre = _layer_norm_np(h, ln2_g, ln2_b).dot(w_fc)
         pre += b_fc
-        h += _gelu_np(pre) @ w_out
+        h += _gelu_np(pre).dot(w_out)
         h += b_out
 
-    return tok_emb @ _layer_norm_np(h, lnf_g, lnf_b)
+    return tok_emb.dot(_layer_norm_np(h, lnf_g, lnf_b))
 
 
 def mix_rows(matrix, ids, weights):
     """Convex combination of the float64 `matrix` rows `ids`."""
-    return weights @ matrix[ids]
+    return weights.dot(matrix.take(ids, axis=0))
 
 
 def backend_name() -> str:

@@ -132,8 +132,11 @@ def entropy_of(p: np.ndarray, vocab_size: int) -> float:
     """normalized_entropy of an already validated float64 vector."""
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2 for the log V normalizer, got {vocab_size}")
-    nz = p[p > 0.0]
-    h = -float(np.add.reduce(nz * np.log(nz))) / math.log(vocab_size)
+    # 0 * log 0 := 0: mask only when a zero is there (never after top-p)
+    nz = p if np.minimum.reduce(p) > 0.0 else p[p > 0.0]
+    plogp = np.log(nz)
+    plogp *= nz
+    h = -float(np.add.reduce(plogp)) / math.log(vocab_size)
     return min(1.0, max(0.0, h))
 
 

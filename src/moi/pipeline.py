@@ -190,17 +190,21 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     prefill_seconds = time.perf_counter() - t0
 
     table = model.embedding_table
+    temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
+    mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
+    last = cfg.max_tokens - 1
     tokens: list[int] = []
     records: list[StepRecord] = []
     t1 = time.perf_counter()
     for step in range(cfg.max_tokens):
-        trunc = top_p_truncate(apply_temperature(logits, cfg.sampler.temperature), cfg.sampler.top_p)
+        trunc = top_p_truncate(apply_temperature(logits, temperature), top_p)
         pos = sample_position(trunc, rng)
         ids, probs = trunc
         token = int(ids[pos])
         entropy = mix_core.entropy_of(probs, vocab)
-        applied_mode = "standard" if token in cfg.stop_tokens else cfg.mix.mode
-        weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, cfg.mix.beta)
+        stop = token in stop_tokens
+        applied_mode = "standard" if stop else mode
+        weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, beta)
 
         tokens.append(token)
         records.append(
@@ -214,7 +218,7 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
                 mode=applied_mode,
             )
         )
-        if token in cfg.stop_tokens or step == cfg.max_tokens - 1:
+        if stop or step == last:
             break
         fed = table.matrix[token].copy() if applied_mode == "standard" else mix(table.matrix64, ids, weights)
         logits = model.forward_step(state, fed)

@@ -8,7 +8,9 @@ generator; each token consumes exactly one float64 draw, so a trace is
 reproducible from (logits, T, top_p, seed) alone.
 
 These functions run once per decoded token and follow the hot-path rule
-of the kernels module (ufunc and array methods, byte-identical results).
+of the kernels module (ufunc methods, array methods such as ``ndarray.dot``
+and ``take`` where they measure faster, in-place arithmetic, byte-identical
+results).
 """
 
 from __future__ import annotations

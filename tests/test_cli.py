@@ -387,6 +387,30 @@ class TestBench:
         )
 
 
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_bench_without_runs_fails_and_writes_nothing(self, model_file, tmp_path, capsys, runs):
+        out = tmp_path / "bench.json"
+        argv = ["bench", "--model", str(model_file), "--prompt", "hi", "--budget", "4", "--runs", runs, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert f"runs must be >= 1, got {runs}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestImports:
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # only a parallel grid needs multiprocessing; a child interpreter
+        # sees what `import moi.cli` alone loads
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import sys, moi.cli, moi.experiments\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestUsage:
     def test_no_subcommand_is_usage_error(self):
         assert run_cli().returncode == 2

@@ -402,6 +402,35 @@ class TestResultsFuzz:
         with pytest.raises(ResultsFormatError, match="line 2: .* is not a finite number"):
             load_results(path)
 
+    @pytest.mark.parametrize("column", ["beta", "top_p", "temperature", "score"])
+    @pytest.mark.parametrize("field", ["1_0", " 0.95 ", "+3", "\u0661\u0662", ".5", "1."])
+    def test_number_the_writer_never_writes_is_format_error(self, tmp_path, column, field):
+        # float() reads 1_0 as 10 and Arabic-Indic 12 as 12; the fuzz oracle
+        # parses with float() itself, so it cannot see these
+        row = dict(zip(RESULTS_HEADER, ["moi", "1.0", "0.9", "0.7", "0", "0.5"]), **{column: field})
+        path = tmp_path / "r.csv"
+        path.write_text(f"{','.join(RESULTS_HEADER)}\nmoi,1.0,0.9,0.7,0,0.5\n{','.join(row.values())}\n",
+                        encoding="utf-8")
+        with pytest.raises(ResultsFormatError, match="line 3: .* is not a number as the writer writes it"):
+            load_results(path)
+
+    @pytest.mark.parametrize("field", ["1_0", " 3 ", "+3", "\u0661\u0662"])
+    def test_seed_the_writer_never_writes_is_format_error(self, tmp_path, field):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{','.join(RESULTS_HEADER)}\nmoi,1.0,0.9,0.7,{field},0.5\n", encoding="utf-8")
+        with pytest.raises(ResultsFormatError, match="line 2: .* is not an integer as the writer writes it"):
+            load_results(path)
+
+    def test_every_form_the_writer_writes_loads(self, small_model, tmp_path):
+        # exponents both ways, negative scores and 64-bit trial seeds
+        values = (1e-05, 1e16, 2.5e-300, 0.1, 3.0)
+        task = TaskSpec(model=small_model, prompts=PROMPTS, budget=1, kind="external_scorer",
+                        scorer=lambda model, cfg, prompts, budget: -cfg.mix.beta)
+        spec = GridSpec(task=task, betas=values, top_ps=(0.9,), temperatures=(1e-05,), seeds=(0, 1))
+        table = run_grid(spec, out_path=tmp_path / "r.csv")
+        assert not table.errors
+        assert load_results(tmp_path / "r.csv").rows == table.rows
+
 
 class TestBestOfN:
     def test_n1_gain_exactly_zero(self):
@@ -476,6 +505,13 @@ class TestThroughputBench:
         cfg = GenConfig(mix=MixConfig("standard", 1.0), sampler=SamplerConfig(), max_tokens=1)
         with pytest.raises(ValueError):
             throughput_bench(small_model, cfg, cfg, [(1,)], budget=0)
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_no_runs_rejected(self, small_model, runs):
+        # once an all-NaN report
+        cfg = GenConfig(mix=MixConfig("standard", 1.0), sampler=SamplerConfig(), max_tokens=1)
+        with pytest.raises(ValueError, match=f"runs must be >= 1, got {runs}"):
+            throughput_bench(small_model, cfg, cfg, [(1,)], budget=2, runs=runs)
 
 
 class TestSpecValidation:

@@ -245,6 +245,29 @@ def test_mix_is_byte_identical(default_model, data):
     assert same_bytes(embedding.mix(table.matrix64, ids, weights), oracle_mix(table.matrix, ids, weights))
 
 
+@settings(deadline=None, max_examples=200)
+@given(probs=st.lists(st.sampled_from((0.0, 0.0, 1e-300, 0.125, 0.5, 1.0, 3.0)), min_size=1, max_size=300)
+       .filter(lambda p: sum(p) > 0), vocab=st.integers(2, 1000))
+def test_entropy_with_zero_entries_is_byte_identical(probs, vocab):
+    """Replayed and hand-made distributions may hold zeros, which the engine
+    path (every kept probability positive) never passes."""
+    p = np.array(probs) / sum(probs)
+    got, want = mix_core.entropy_of(p, vocab), oracle_entropy_of(p, vocab)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_mix_over_all_rows_is_byte_identical(default_model, data):
+    """Full support (T=1, top_p=1), as trace_audit feeds it."""
+    table = default_model.embedding_table
+    ids = np.array(data.draw(st.permutations(range(table.vocab))), dtype=np.int64)
+    raw = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=table.vocab, max_size=table.vocab))) + 1e-3
+    weights = raw / raw.sum()
+    assert same_bytes(kernels.mix_rows(table.matrix64, ids, weights), weights @ table.matrix64[ids])
+    assert same_bytes(embedding.mix(table.matrix64, ids, weights), oracle_mix(table.matrix, ids, weights))
+
+
 # ---------------------------------------------------------------------------
 # The whole loop
 # ---------------------------------------------------------------------------
