@@ -3,7 +3,8 @@
 Subcommands wire the library end to end and emit machine-readable
 artifacts (JSONL traces, CSV tables, JSON reports).  Exit codes: 0
 success, 1 runtime failure, 2 usage error.  MOI_SEED in the environment
-overrides --seed wherever a subcommand accepts one.
+overrides --seed wherever a subcommand accepts one; a value other than
+ASCII digits with an optional minus is a runtime failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -33,6 +35,8 @@ _GRID_FIELDS = {
 # the keys each level of a grid config may hold (a typo raises ConfigError)
 _GRID_KEYS = frozenset({"task", "betas", "top_ps", "temperatures", "modes", "seeds"})
 _TASK_KEYS = frozenset({"model", "kind", "prompts", "prompt_ids", "budget", "stop_tokens"})
+# the one form of MOI_SEED: int() would also read 1_0, " 7 ", +3 and non-ASCII digits
+_SEED_FORM = re.compile(r"-?[0-9]+")
 
 
 class ConfigError(ValueError):
@@ -41,8 +45,14 @@ class ConfigError(ValueError):
 
 
 def _seed_from_env(seed: int) -> int:
+    """MOI_SEED as an int if it is set, else `seed`; ValueError naming
+    MOI_SEED unless it is an optional minus and ASCII digits."""
     env = os.environ.get("MOI_SEED")
-    return int(env) if env is not None else seed
+    if env is None:
+        return seed
+    if not _SEED_FORM.fullmatch(env):
+        raise ValueError(f"MOI_SEED must be an integer written as digits with an optional '-', got {env!r}")
+    return int(env)
 
 
 def _gen_config(args, mode: str, seed: int) -> pipeline.GenConfig:

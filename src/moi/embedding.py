@@ -4,7 +4,10 @@ A mixed input is the convex combination of embedding rows under a set of
 mixing weights.  Accumulation runs in float64 over the sparse support
 only (never a dense vocabulary loop), iterating ids in ascending order so
 the result is independent of how the support happened to be ordered; the
-final vector is narrowed to the table's float32 storage dtype.
+final vector is narrowed to the table's float32 storage dtype.  When the
+support is the whole vocabulary (T = 1, top_p = 1), the rows in ascending
+id order are the table itself: the weights are placed at their ids and
+multiplied with the table directly, with no sort and no row copy.
 """
 
 from __future__ import annotations
@@ -65,6 +68,17 @@ def mix_embeddings(table: EmbeddingTable, weights: MixingWeights) -> np.ndarray:
 
 def mix(matrix64: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """`weights` over rows `ids` of a table's `matrix64`, summed in ascending
-    id order and narrowed to float32.  No checks (see `mix_embeddings`)."""
+    id order and narrowed to float32.  No checks (see `mix_embeddings`).
+
+    A support of V ids is, for the engine, a permutation of 0..V-1: then
+    `bincount` puts each weight at its id (one exact add to 0.0), which is
+    `weights[argsort(ids)]`, and the gathered rows would be an identical
+    copy of `matrix64`, so the product is the same in every byte.
+    `bincount` rather than a scatter: it sums duplicated ids, so a
+    hand-built V-id support that repeats some id still gets the weighted
+    row sum."""
+    vocab = matrix64.shape[0]
+    if ids.size == vocab:
+        return np.bincount(ids, weights, minlength=vocab).dot(matrix64).astype(np.float32)
     order = ids.argsort(kind="stable")
     return kernels.mix_rows(matrix64, ids[order], weights[order]).astype(np.float32)

@@ -213,7 +213,7 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
                 token=token,
                 entropy=entropy,
                 support=ids.copy(),
-                probs=probs.copy(),
+                probs=probs,
                 weights=weights,
                 mode=applied_mode,
             )

@@ -77,8 +77,10 @@ def top_p_truncate(probs: np.ndarray, top_p: float) -> TruncatedDistribution:
     """Keep the minimal descending-prob prefix with cumulative mass >= top_p.
 
     Ties between equal probabilities break toward the smaller token id.
-    The kept probabilities are renormalized; with top_p = 1.0 the full
-    support (every positive-probability token) is kept unchanged.
+    The kept probabilities are renormalized.  top_p = 1.0 is no exception:
+    the prefix ends where the float64 running sum first reaches 1.0, so a
+    sharp distribution (low T) can lose a tail of tiny positive
+    probabilities that rounding has already absorbed into the sum.
     """
     p = check_probs(probs)
     if not (0.0 < top_p <= 1.0):

@@ -71,6 +71,21 @@ class TestGenerate:
         assert a.stdout == b.stdout
         assert c.stdout != b.stdout
 
+    @pytest.mark.parametrize("env", ["1_0", " 7 ", "+3", "٣", "7\n", "1.0", "", "seven"])
+    def test_moi_seed_in_another_form_is_runtime_error(self, model_file, env):
+        # int() read 1_0 as 10, " 7 " as 7 and +3 and the Arabic-Indic digit three as 3
+        proc = run_cli("generate", "--model", str(model_file), "--prompt", "ab", "--max-tokens", "2",
+                       env_extra={"MOI_SEED": env})
+        assert proc.returncode == 1
+        assert "MOI_SEED" in proc.stderr and proc.stdout == ""
+
+    def test_moi_seed_digits_read_as_written(self, monkeypatch):
+        for env, seed in (("-12", -12), ("0042", 42), ("18446744073709551616", 2**64)):
+            monkeypatch.setenv("MOI_SEED", env)
+            assert cli._seed_from_env(3) == seed
+        monkeypatch.delenv("MOI_SEED")
+        assert cli._seed_from_env(3) == 3
+
     def test_trace_then_replay_roundtrip(self, model_file, tmp_path):
         trace = tmp_path / "run.jsonl"
         proc = run_cli(

@@ -71,6 +71,15 @@ class TestMixEmbeddings:
         b = mix_embeddings(random_table, MixingWeights(ids=ids[::-1].copy(), weights=w[::-1].copy()))
         np.testing.assert_array_equal(a, b)
 
+    def test_duplicated_ids_covering_the_vocabulary(self, random_table):
+        # V ids with id 1 twice and id 2 missing: the weights of the two 1s
+        # add up, and row 2 gets none
+        ids = np.array([3, 1, 0, 1])
+        w = np.array([0.4, 0.2, 0.1, 0.3])
+        mixed = mix_embeddings(random_table, MixingWeights(ids=ids, weights=w))
+        expected = w @ random_table.matrix.astype(np.float64)[ids]
+        np.testing.assert_allclose(mixed, expected.astype(np.float32), rtol=0, atol=1e-12)
+
     def test_out_of_range_support(self, random_table):
         w = MixingWeights(ids=np.array([0, 7]), weights=np.array([0.5, 0.5]))
         with pytest.raises(IndexError):

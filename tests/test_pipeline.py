@@ -69,6 +69,14 @@ class TestGenerate:
             assert rec.weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert rec.token in rec.support
 
+    @pytest.mark.parametrize("mode", ["standard", "direct_mixture", "moi"])
+    def test_record_arrays_share_no_memory(self, bench_model, mode):
+        # records keep the sampler's arrays uncopied: each must be its own
+        res = generate(bench_model, list(b"ab"), gen_cfg(mode=mode, seed=3, max_tokens=12))
+        arrays = [a for rec in res.records for a in (rec.support, rec.probs, rec.weights)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
     def test_stop_token_emitted_recorded_not_fed(self, stub_model):
         stop = stub_model.token_at(2)
         cfg = gen_cfg(mode="standard", max_tokens=50, stop_tokens=frozenset({stop}))
