@@ -47,8 +47,7 @@ class MixConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        check_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,13 @@ def token_id(token) -> int:
     if isinstance(token, bool):
         raise TypeError("a token id must be an integer, not a bool")
     return operator.index(token)
+
+
+def check_beta(beta: float) -> None:
+    """ValueError naming beta unless it is finite and positive: at beta =
+    inf the moi weights are inf / inf = NaN."""
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
 
 
 def check_probs(probs: np.ndarray) -> np.ndarray:
@@ -186,8 +192,7 @@ def posterior_mix_weights(
         raise IndexError(f"sampled token {sampled} outside vocabulary of size {vocab_size}")
     if np.any(ids < 0) or np.any(ids >= vocab_size):
         raise IndexError("support ids outside vocabulary")
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_beta(beta)
 
     h = entropy_of(p, vocab_size)
     hits = np.flatnonzero(ids == sampled)

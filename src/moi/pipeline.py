@@ -12,6 +12,10 @@ in `start_state`, the one place that checks a request against the model
 context (prompt + new tokens <= context, before any forward), sizes its
 state and runs the prompt.  `prefill` runs a prompt once, and
 `generate(..., prefix=...)` starts generations from copies of its state.
+Generations from one Prefill also share the positions they decoded: a
+tree keyed by token holds each position's K/V rows and next distribution,
+so a seed that samples an opening an earlier seed sampled copies those
+rows instead of running the forward and the sampler's softmax and top-p.
 
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
@@ -33,7 +37,14 @@ import orjson
 from . import mix_core
 from .embedding import lookup, mix
 from .mix_core import MixConfig
-from .sampler import SamplerConfig, apply_temperature, make_rng, sample_position, top_p_truncate
+from .sampler import (
+    SamplerConfig,
+    TruncatedDistribution,
+    apply_temperature,
+    make_rng,
+    sample_position,
+    top_p_truncate,
+)
 from .toy_lm import DecoderState, Model
 
 _TRACE_DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
@@ -108,17 +119,88 @@ class ReplayReport:
         )
 
 
+class _Node:
+    """One decoded position of a Prefill's tree: the K/V rows the forward
+    wrote for it, (2, layers, heads, head_dim), None at the root; the
+    truncated distribution and entropy of the logits it returned; and its
+    children by the token fed next."""
+
+    __slots__ = ("rows", "dist", "entropy", "children")
+
+    def __init__(self, rows, logits: np.ndarray, temperature: float, top_p: float, vocab: int):
+        ids, probs = top_p_truncate(apply_temperature(logits, temperature), top_p)
+        self.rows = rows
+        # a trimmed copy: a view would keep the whole 256-entry argsort alive
+        self.dist = TruncatedDistribution(ids.copy(), probs)
+        self.entropy = mix_core.entropy_of(probs, vocab)
+        self.children: dict[int, _Node] = {}
+
+
+class _Tree:
+    """The positions generations from one Prefill decoded, for one key."""
+
+    __slots__ = ("key", "root", "size")
+
+    def __init__(self):
+        self.key = None
+        self.root = None
+        self.size = 0
+
+
 @dataclass(frozen=True, eq=False)
 class Prefill:
     """A prompt already run through `model`: the decoder state after its
     last position (sized to the prompt) and the logits for the first
     generated token.  Generations fork `state` and never write to it, so
-    one Prefill can start any number of them."""
+    one Prefill can start any number of them.
+
+    They share decoded positions through a tree.  A generation's state
+    after its first k tokens depends only on the prompt, the key (mode,
+    beta, T, top_p) and those k tokens; seed, max_tokens and stop tokens
+    only choose a path, since a stop token is never fed back.  The root
+    holds the truncated distribution and entropy of `logits`; the child
+    for token t holds the K/V rows the forward wrote when t's feedback was
+    fed, and the truncated distribution and entropy of the logits it
+    returned.  A generation whose tokens follow the tree copies those rows
+    into its fork and takes the distribution without running the forward
+    or the sampler's softmax and top-p; at its first new token it runs the
+    forward and adds the child.  The tree holds one key at a time: a
+    generation with other settings replaces it.  It stops adding nodes at
+    `model.config.context` positions, so it holds at most the K/V of one
+    full-context state.  Generations change the tree, so a Prefill is not
+    to be shared between threads."""
 
     model: Model
     prompt: tuple
     state: DecoderState
     logits: np.ndarray
+    _tree: _Tree = field(default_factory=_Tree, init=False, repr=False)
+
+    def _root(self, cfg: GenConfig) -> _Node:
+        """The tree's root for `cfg`'s key; a new tree if the key changed."""
+        tree = self._tree
+        temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
+        key = (cfg.mix.mode, cfg.mix.beta, temperature, top_p)
+        if key != tree.key:
+            # the root first: if its softmax raises, the old key keeps its own root
+            tree.root = _Node(None, self.logits, temperature, top_p, self.model.config.vocab)
+            tree.key, tree.size = key, 0
+        return tree.root
+
+    def _grow(self, parent: _Node, token: int, state: DecoderState, logits: np.ndarray) -> _Node | None:
+        """Add the child for `token` under `parent`: the position the
+        forward just wrote into `state` and the `logits` it returned.  None,
+        adding nothing, once the tree holds a full context."""
+        tree = self._tree
+        config = self.model.config
+        if tree.size >= config.context:
+            return None
+        _, _, temperature, top_p = tree.key
+        at = state.length - 1
+        rows = np.stack((state.k_cache[:, :, at], state.v_cache[:, :, at]))
+        child = parent.children[token] = _Node(rows, logits, temperature, top_p, config.vocab)
+        tree.size += 1
+        return child
 
 
 def check_prompt(model: Model, prompt) -> list[int]:
@@ -176,11 +258,13 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     one-hot weights, but never fed back.
 
     `prefix`, from `prefill(model, prompt)`, skips running the prompt: the
-    loop starts from a fork of its state and its logits, with the same
-    result as without it.  A request beyond the model context (see
-    `start_state`), or a prefix made by another model object or for
-    another prompt, raises ValueError.  `prefill_seconds` covers the
-    allocation and the prompt run, or the fork.
+    loop starts from a fork of its state and its logits, and while its
+    tokens follow the prefix's tree (see `Prefill`) it takes each
+    position from there, with the same result as without it.  A request
+    beyond the model context (see `start_state`), or a prefix made by
+    another model object or for another prompt, raises ValueError.
+    `prefill_seconds` covers the allocation and the prompt run, or the
+    fork; steps served from the tree count in `decode_seconds`.
     """
     prompt = check_prompt(model, prompt)
     vocab = model.config.vocab
@@ -196,12 +280,19 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     tokens: list[int] = []
     records: list[StepRecord] = []
     t1 = time.perf_counter()
+    # the tree node of the position this step samples from, or None: no
+    # prefix, or the path left a full tree
+    node = None if prefix is None else prefix._root(cfg)
     for step in range(cfg.max_tokens):
-        trunc = top_p_truncate(apply_temperature(logits, temperature), top_p)
+        if node is None:
+            trunc = top_p_truncate(apply_temperature(logits, temperature), top_p)
+            ids, probs = trunc
+            entropy = mix_core.entropy_of(probs, vocab)
+        else:
+            trunc, entropy = node.dist, node.entropy
+            ids, probs = trunc.ids, trunc.probs.copy()
         pos = sample_position(trunc, rng)
-        ids, probs = trunc
         token = int(ids[pos])
-        entropy = mix_core.entropy_of(probs, vocab)
         stop = token in stop_tokens
         applied_mode = "standard" if stop else mode
         weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, beta)
@@ -220,8 +311,19 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
         )
         if stop or step == last:
             break
+        if node is not None:
+            child = node.children.get(token)
+            if child is not None:
+                length = state.length
+                state.k_cache[:, :, length] = child.rows[0]
+                state.v_cache[:, :, length] = child.rows[1]
+                state.length = length + 1
+                node = child
+                continue
         fed = table.matrix[token].copy() if applied_mode == "standard" else mix(table.matrix64, ids, weights)
         logits = model.forward_step(state, fed)
+        if node is not None:
+            node = prefix._grow(node, token, state, logits)
     decode_seconds = time.perf_counter() - t1
 
     return GenerationResult(
@@ -247,7 +349,8 @@ def _record_to_json(rec: StepRecord) -> bytes:
     probs = np.ascontiguousarray(rec.probs, dtype=np.float64)
     weights = np.ascontiguousarray(rec.weights, dtype=np.float64)
     entropy = float(rec.entropy)
-    if not (math.isfinite(entropy) and np.isfinite(probs).all() and np.isfinite(weights).all()):
+    finite = np.logical_and.reduce
+    if not (math.isfinite(entropy) and finite(np.isfinite(probs)) and finite(np.isfinite(weights))):
         raise ValueError(f"step {rec.step}: non-finite H, probs or weights cannot be written")
     return orjson.dumps(
         {
@@ -325,14 +428,15 @@ def read_trace(path: str | Path) -> list[StepRecord]:
             if not (0.0 <= rec.entropy <= 1.0):
                 raise TraceFormatError(f"line {lineno}: H={rec.entropy} outside [0, 1]")
             # a NaN weight fails both comparisons; check_probs made the arrays nonempty
-            if not (weights.min() >= 0.0 and weights.max() < math.inf):
+            if not (np.minimum.reduce(weights) >= 0.0 and np.maximum.reduce(weights) < math.inf):
                 raise TraceFormatError(f"line {lineno}: weights must be finite and non-negative")
-            ordered = np.sort(support)
+            ordered = support.copy()
+            ordered.sort()
             if ordered[0] < 0:
                 raise TraceFormatError(f"line {lineno}: negative support id")
-            if np.any(ordered[1:] == ordered[:-1]):
+            if np.logical_or.reduce(ordered[1:] == ordered[:-1]):
                 raise TraceFormatError(f"line {lineno}: duplicate support ids")
-            if not np.any(support == rec.token):
+            if not np.logical_or.reduce(support == rec.token):
                 raise TraceFormatError(f"line {lineno}: token {rec.token} not in support")
             records.append(rec)
     return records
@@ -366,19 +470,22 @@ def replay_verify(
         support = rec.support
         if rec.probs.shape != support.shape or rec.weights.shape != support.shape:
             raise TraceFormatError(f"step {rec.step}: probs/weights not aligned with support")
-        hits = np.flatnonzero(support == rec.token)
-        if not hits.size:
+        # axis=None: an in-memory record's arrays may have any shape
+        hits = support == rec.token
+        if not np.logical_or.reduce(hits, axis=None):
             raise TraceFormatError(f"step {rec.step}: token {rec.token} not in support")
-        if support.min() < 0 or support.max() >= vocab_size:
+        if np.minimum.reduce(support, axis=None) < 0 or np.maximum.reduce(support, axis=None) >= vocab_size:
             raise TraceFormatError(f"step {rec.step}: support ids outside vocabulary of size {vocab_size}")
         try:
             p = mix_core.check_probs(rec.probs)
         except ValueError as exc:
             raise TraceFormatError(f"step {rec.step}: probs: {exc}") from exc
         h = mix_core.entropy_of(p, vocab_size)
-        expected = mix_core.feedback_weights(rec.mode, p, hits[0], h, cfg.mix.beta)
+        # argmax: the flat index of the first hit
+        expected = mix_core.feedback_weights(rec.mode, p, hits.argmax(), h, cfg.mix.beta)
         h_dev = abs(h - rec.entropy)
-        w_dev = float(np.max(np.abs(expected - rec.weights)))
+        dev = expected - rec.weights
+        w_dev = float(np.maximum.reduce(np.abs(dev, out=dev)))
         # np.maximum keeps a NaN deviation, where max() would drop it
         max_h = np.maximum(max_h, h_dev)
         max_w = np.maximum(max_w, w_dev)

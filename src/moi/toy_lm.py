@@ -19,6 +19,7 @@ what one request needs.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,7 +164,10 @@ class Model:
         """An empty state with room for `capacity` positions (default and
         upper limit: the model context)."""
         cfg = self.config
-        capacity = cfg.context if capacity is None else int(capacity)
+        # not int(), which reads 2.9 as 2 positions and True as 1
+        if isinstance(capacity, bool):
+            raise TypeError("state capacity must be an integer, not a bool")
+        capacity = cfg.context if capacity is None else operator.index(capacity)
         if not (1 <= capacity <= cfg.context):
             raise ValueError(f"state capacity must lie in [1, {cfg.context}], got {capacity}")
         shape = (cfg.layers, cfg.heads, capacity, cfg.dim // cfg.heads)

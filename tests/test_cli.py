@@ -71,6 +71,11 @@ class TestGenerate:
         assert a.stdout == b.stdout
         assert c.stdout != b.stdout
 
+    def test_infinite_beta_is_runtime_error(self, model_file):
+        proc = run_cli("generate", "--model", str(model_file), "--prompt", "ab", "--beta", "inf")
+        assert proc.returncode == 1
+        assert "beta" in proc.stderr and proc.stdout == ""
+
     @pytest.mark.parametrize("env", ["1_0", " 7 ", "+3", "٣", "7\n", "1.0", "", "seven"])
     def test_moi_seed_in_another_form_is_runtime_error(self, model_file, env):
         # int() read 1_0 as 10, " 7 " as 7 and +3 and the Arabic-Indic digit three as 3

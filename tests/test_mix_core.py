@@ -221,6 +221,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             MixConfig("moi", 0.0)
 
+    # at beta = inf the moi weight was inf / inf = NaN: generate failed a
+    # step later on non-finite logits, posterior_mix_weights on its own weights
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            MixConfig("moi", beta)
+        with pytest.raises(ValueError, match="beta"):
+            posterior_mix_weights(IDS4, ORACLE_P, 0, beta, 4)
+
     def test_mixing_weights_validation(self):
         with pytest.raises(ValueError):
             MixingWeights(ids=np.array([0, 1]), weights=np.array([0.7, 0.7]))

@@ -71,9 +71,12 @@ class TestGenerate:
 
     @pytest.mark.parametrize("mode", ["standard", "direct_mixture", "moi"])
     def test_record_arrays_share_no_memory(self, bench_model, mode):
-        # records keep the sampler's arrays uncopied: each must be its own
-        res = generate(bench_model, list(b"ab"), gen_cfg(mode=mode, seed=3, max_tokens=12))
-        arrays = [a for rec in res.records for a in (rec.support, rec.probs, rec.weights)]
+        # records keep the sampler's arrays uncopied: each must be its own,
+        # also across two generations that take theirs from one Prefill's tree
+        cfg = gen_cfg(mode=mode, seed=3, max_tokens=12)
+        start = prefill(bench_model, list(b"ab"))
+        results = [generate(bench_model, list(b"ab"), cfg, prefix=p) for p in (None, start, start)]
+        arrays = [a for res in results for rec in res.records for a in (rec.support, rec.probs, rec.weights)]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 

@@ -333,6 +333,15 @@ class TestForwardStep:
             with pytest.raises(ValueError, match="capacity"):
                 small_model.new_state(capacity)
 
+    # int() read 2.9 as 2 positions and True as 1
+    @pytest.mark.parametrize("capacity", [2.9, 3.0, True, "3"])
+    def test_non_integer_capacity_rejected(self, small_model, capacity):
+        with pytest.raises(TypeError):
+            small_model.new_state(capacity)
+
+    def test_numpy_integer_capacity_accepted(self, small_model):
+        assert small_model.new_state(np.int64(3)).capacity == 3
+
     def test_sized_state_gives_identical_logits(self, small_model):
         rng = np.random.Generator(np.random.PCG64(41))
         inputs = [rng.normal(0, 0.3, size=small_model.config.dim) for _ in range(7)]
