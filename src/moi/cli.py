@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import experiments, pipeline, prompt_blend, toy_lm
+from .jsonio import INT, NUMBER, STR, has_type, load
 from .mix_core import MixConfig
 from .sampler import SamplerConfig
 
@@ -28,9 +29,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # types): int() would truncate a budget of 2.9, and frozenset("ab") would
 # make stop tokens of characters that never match a token id
 _GRID_FIELDS = {
-    "budget": (0, {int}), "stop_tokens": (1, {int}), "seeds": (1, {int}), "prompt_ids": (2, {int}),
-    "model": (0, {str}), "kind": (0, {str}), "prompts": (1, {str}), "modes": (1, {str}),
-    "betas": (1, {int, float}), "top_ps": (1, {int, float}), "temperatures": (1, {int, float}),
+    "budget": (0, INT), "stop_tokens": (1, INT), "seeds": (1, INT), "prompt_ids": (2, INT),
+    "model": (0, STR), "kind": (0, STR), "prompts": (1, STR), "modes": (1, STR),
+    "betas": (1, NUMBER), "top_ps": (1, NUMBER), "temperatures": (1, NUMBER),
 }
 # the keys each level of a grid config may hold (a typo raises ConfigError)
 _GRID_KEYS = frozenset({"task", "betas", "top_ps", "temperatures", "modes", "seeds"})
@@ -93,12 +94,6 @@ def cmd_init_model(args) -> int:
     return 0
 
 
-def _has_json_type(value, depth: int, types: set) -> bool:
-    if depth == 0:
-        return type(value) in types
-    return type(value) is list and all(_has_json_type(v, depth - 1, types) for v in value)
-
-
 def _check_grid_keys(obj: dict, known: frozenset) -> None:
     """ConfigError naming every key of `obj` that is not in `known`."""
     if set(obj) - known:
@@ -108,22 +103,9 @@ def _check_grid_keys(obj: dict, known: frozenset) -> None:
 def _check_grid_fields(obj: dict) -> None:
     """ConfigError naming the first field of `obj` whose JSON type is wrong."""
     for key, (depth, types) in _GRID_FIELDS.items():
-        if key in obj and not _has_json_type(obj[key], depth, types):
+        if key in obj and not has_type(obj[key], depth, types):
             kind = "list of " * depth + " or ".join(sorted(t.__name__ for t in types))
             raise ConfigError(f"grid config field {key!r} must be {kind}, got {obj[key]!r}")
-
-
-def _reject_constant(literal: str):
-    # json.load would read NaN and Infinity, which are not JSON numbers
-    raise ConfigError(f"grid config: {literal} is not a JSON number")
-
-
-def _finite_float(text: str) -> float:
-    # float() would read 1e400 as inf
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"grid config: {text} is beyond the float range")
-    return value
 
 
 def _task_from_json(obj: dict) -> experiments.TaskSpec:
@@ -153,11 +135,8 @@ def _task_from_json(obj: dict) -> experiments.TaskSpec:
 def _load_grid_config(path) -> experiments.GridSpec:
     """The GridSpec of a JSON grid config file; a file that is not a valid
     config raises ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: not a JSON grid config: {exc}") from exc
+    with open(path, "rb") as fh:
+        obj = load(fh.read(), ConfigError, f"{path}: not a JSON grid config")
     if type(obj) is not dict or type(obj.get("task")) is not dict:
         raise ConfigError(f"{path}: grid config needs a 'task' object")
     _check_grid_keys(obj, _GRID_KEYS)

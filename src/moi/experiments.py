@@ -29,7 +29,7 @@ import numpy as np
 
 from .mix_core import MODES, MixConfig, token_id
 from .pipeline import GenConfig, Prefill, check_prompt, generate, prefill, start_state
-from .sampler import SamplerConfig
+from .sampler import SamplerConfig, check_seed
 from .toy_lm import Model, load_weights
 
 RESULTS_HEADER = ("mode", "beta", "top_p", "temperature", "seed", "score")
@@ -86,6 +86,7 @@ class GridSpec:
             if not values:
                 raise ValueError(f"{name} must be nonempty")
             object.__setattr__(self, name, values)
+        object.__setattr__(self, "seeds", tuple(check_seed(s, "seeds") for s in self.seeds))
 
     def configs(self) -> list[tuple]:
         """(mode, beta, top_p, temperature) combinations, fixed order."""
@@ -394,6 +395,7 @@ def best_of_n_gain(
     """
     if param not in _PARAM_FIELDS:
         raise ValueError(f"param must be one of {sorted(_PARAM_FIELDS)}, got {param!r}")
+    check_seed(seed)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     defaults = dict(UNIVERSAL_DEFAULTS if defaults is None else defaults)

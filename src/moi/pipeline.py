@@ -36,6 +36,7 @@ import orjson
 
 from . import mix_core
 from .embedding import lookup, mix
+from .jsonio import INT, NUMBER, has_type, load
 from .mix_core import MixConfig
 from .sampler import (
     SamplerConfig,
@@ -48,8 +49,6 @@ from .sampler import (
 from .toy_lm import DecoderState, Model
 
 _TRACE_DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-_INT = frozenset({int})
-_NUMBER = frozenset({int, float})
 
 
 class TraceFormatError(ValueError):
@@ -383,25 +382,14 @@ def read_trace(path: str | Path) -> list[StepRecord]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = orjson.loads(line)
-            except orjson.JSONDecodeError as exc:
-                raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+            obj = load(line, TraceFormatError, f"line {lineno}: invalid JSON")
             try:
                 support, probs, weights = obj["support"], obj["probs"], obj["weights"]
                 # exact JSON types: int() and float() would coerce 1.7, "3" and
                 # true, and orjson reads an integer beyond 64 bits as a float
-                if not (
-                    type(obj["step"]) is int
-                    and type(obj["token"]) is int
-                    and _INT.issuperset(map(type, support))
-                ):
+                if not (type(obj["step"]) is int and type(obj["token"]) is int and has_type(support, 1, INT)):
                     raise TypeError("step, token and support ids must be integers")
-                if not (
-                    type(obj["H"]) in _NUMBER
-                    and _NUMBER.issuperset(map(type, probs))
-                    and _NUMBER.issuperset(map(type, weights))
-                ):
+                if not (type(obj["H"]) in NUMBER and has_type(probs, 1, NUMBER) and has_type(weights, 1, NUMBER)):
                     raise TypeError("H, probs and weights must be numbers")
                 support = np.asarray(support, dtype=np.int64)
                 probs = np.asarray(probs, dtype=np.float64)

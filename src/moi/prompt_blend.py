@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-_NUMBER = frozenset({int, float})
+from .jsonio import NUMBER, has_type, load
 
 
 def _as_matrix(rows: np.ndarray) -> np.ndarray:
@@ -73,24 +73,16 @@ class PromptFormatError(ValueError):
     """Raised when a prompt-matrix file breaks the {"dim", "rows"} format."""
 
 
-def _reject_constant(literal: str):
-    # json.load would read NaN and Infinity, which are not JSON numbers
-    raise ValueError(f"{literal} is not a JSON number")
-
-
 def read_prompt_matrix(path: str | Path) -> np.ndarray:
     """Load {"dim": d, "rows": [[...], ...]} JSON into an L x d matrix.
 
     Types are checked exactly: `dim` is a positive JSON integer and `rows` a
-    nonempty list of lists of `dim` finite JSON numbers, so a float `dim`,
-    a numeric string or a boolean raises PromptFormatError, naming the row
-    at fault, where int() and float() would load it.
+    nonempty list of lists of `dim` JSON numbers, so a float `dim`, a
+    numeric string or a boolean raises PromptFormatError, naming the row at
+    fault, where int() and float() would load it.  Bytes that are not
+    strict JSON (see the jsonio module) raise it too.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_constant=_reject_constant)
-    except ValueError as exc:  # not UTF-8, not JSON, or a NaN or Infinity literal
-        raise PromptFormatError(f"{path}: invalid JSON: {exc}") from exc
+    obj = load(Path(path).read_bytes(), PromptFormatError, f"{path}: invalid JSON")
     if type(obj) is not dict or "dim" not in obj or "rows" not in obj:
         raise PromptFormatError(f"{path}: expected an object with keys 'dim' and 'rows'")
     dim, rows = obj["dim"], obj["rows"]
@@ -98,19 +90,10 @@ def read_prompt_matrix(path: str | Path) -> np.ndarray:
         raise PromptFormatError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
     if type(rows) is not list or not rows:
         raise PromptFormatError(f"{path}: 'rows' must be a nonempty list of rows")
-    matrix = []
     for i, row in enumerate(rows):
-        if type(row) is not list or len(row) != dim or not _NUMBER.issuperset(map(type, row)):
+        if not has_type(row, 1, NUMBER) or len(row) != dim:
             raise PromptFormatError(f"{path}: row {i} must be a list of dim={dim} numbers")
-        try:
-            values = np.array(row, dtype=np.float64)
-            finite = bool(np.isfinite(values).all())
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise PromptFormatError(f"{path}: row {i} has an entry beyond the float range")
-        matrix.append(values)
-    return np.stack(matrix)
+    return np.array(rows, dtype=np.float64)
 
 
 def write_prompt_matrix(matrix: np.ndarray, path: str | Path) -> None:

@@ -32,7 +32,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", operator.index(self.seed))  # a float seed raises TypeError
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not (self.temperature > 0.0):
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not (0.0 < self.top_p <= 1.0):
@@ -47,6 +47,14 @@ class TruncatedDistribution(NamedTuple):
 
     ids: np.ndarray
     probs: np.ndarray
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """`seed` as an int (TypeError for a float); ValueError naming `name` if it is negative."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -27,6 +27,8 @@ import numpy as np
 
 from . import kernels
 from .embedding import EmbeddingTable
+from .jsonio import INT, has_type, load
+from .sampler import check_seed
 
 __all__ = [
     "ModelConfig",
@@ -79,6 +81,7 @@ class ModelConfig:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.context < 1:
             raise ValueError(f"context must be >= 1, got {self.context}")
+        object.__setattr__(self, "init_seed", check_seed(self.init_seed, "init_seed"))
 
 
 def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -262,16 +265,13 @@ def load_weights(path: str | Path) -> Model:
     newline = raw.find(b"\n")
     if newline < 0:
         raise WeightFormatError("no header line found")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WeightFormatError(f"malformed header: {exc}") from exc
+    header = load(raw[:newline], WeightFormatError, "malformed header")
     if not isinstance(header, dict) or header.get("format") != "TLM/1":
         marker = header.get("format") if isinstance(header, dict) else header
         raise WeightFormatError(f"unsupported format marker: {marker!r}")
 
     block = header.get("config")
-    if not isinstance(block, dict) or not all(type(v) is int for v in block.values()):
+    if not isinstance(block, dict) or not has_type([*block.values()], 1, INT):
         raise WeightFormatError(f"bad config block: expected an object of integers, got {block!r}")
     try:
         config = ModelConfig(**block)
@@ -296,7 +296,7 @@ def load_weights(path: str | Path) -> Model:
             raise WeightFormatError(f"tensor {name!r}: unsupported dtype {entry.get('dtype')!r}")
         # exact JSON types: int() would truncate an offset of 1.5 and read misaligned bytes
         declared = entry.get("shape")
-        if type(declared) is not list or not all(type(n) is int for n in declared):
+        if not has_type(declared, 1, INT):
             raise WeightFormatError(f"tensor {name!r}: shape must be a list of integers, got {declared!r}")
         if tuple(declared) != shape:
             raise WeightShapeError(f"tensor {name!r}: expected shape {shape}, header declares {tuple(declared)}")

@@ -146,6 +146,30 @@ class TestGenerate:
             assert "line 1: bad record" in proc.stderr
 
 
+class TestNegativeSeed:
+    # each exited 1 with PCG64's "expected non-negative integer", naming no seed
+    @pytest.mark.parametrize(
+        "command, seed_args, env, name",
+        [("generate", ["--seed", "-1"], None, "seed"), ("generate", [], "-1", "seed"),
+         ("init-model", ["--seed", "-2"], None, "init_seed"), ("bestofn", ["--seed", "-1"], None, "seed")],
+        ids=["generate", "moi-seed-env", "init-model", "bestofn"],
+    )
+    def test_names_the_seed(self, model_file, tmp_path, capsys, monkeypatch, command, seed_args, env, name):
+        out, results = tmp_path / "out", tmp_path / "r.csv"
+        results.write_text("mode,beta,top_p,temperature,seed,score\nmoi,1.0,0.95,0.6,0,0.2\n")
+        argv = {
+            "generate": ["generate", "--model", str(model_file), "--prompt", "ab", "--max-tokens", "2"],
+            "init-model": ["init-model", "--out", str(out)],
+            "bestofn": ["bestofn", "--results", str(results), "--param", "beta", "--max-n", "1", "--out", str(out)],
+        }[command]
+        if env is not None:
+            monkeypatch.setenv("MOI_SEED", env)
+        assert cli.main(argv + seed_args) == 1
+        captured = capsys.readouterr()
+        assert f"error: {name} must be a non-negative integer, got -" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestGrid:
     def test_small_grid(self, model_file, tmp_path):
         config = {
@@ -208,10 +232,12 @@ class TestGridConfigTypes:
 
     def test_nan_and_infinity_literals_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "grid.json"
-        for literal in ("NaN", "Infinity", "-Infinity"):
+        # orjson's reason for each literal
+        for literal, reason in (("NaN", "unexpected character"), ("Infinity", "unexpected character"),
+                                ("-Infinity", "no digit after minus sign")):
             cfg_path.write_text('{"task": {"model": "model.tlm", "prompts": ["ab"]}, "temperatures": [%s]}' % literal)
             assert cli.main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
-            assert f"error: grid config: {literal} is not a JSON number" in capsys.readouterr().err
+            assert f"error: {cfg_path}: not a JSON grid config: {reason}" in capsys.readouterr().err
 
     def test_each_field_type_checked_exactly(self):
         bad = {
@@ -232,7 +258,7 @@ class TestGridConfigTypes:
             ('{"task": {"model": "m.tlm", "prompts": ["ab"], "kind": "external_scorer"}}', "Python API"),
             ('{"task": {"model": "m.tlm", "prompts": []}}', "prompt set must be nonempty"),
             ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "betas": []}', "betas must be nonempty"),
-            ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "betas": [1e400]}', "1e400 is beyond the float range"),
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "betas": [1e400]}', "JSON grid config: number is infinity"),
             ('{"task": {"model": "m.tlm", "prompts": ["\\ud800"]}}', "surrogate"),
             ('{"task": {"model": "m.tlm", "prompts": ["ab"]}', "not a JSON grid config"),
             ('{"task": {"model": "m.tlm", "prompts": ["\xff"]}}', "not a JSON grid config"),
@@ -240,9 +266,12 @@ class TestGridConfigTypes:
             ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "temperature": [0.7]}', "unknown field.*'temperature'"),
             ('{"task": {"model": "m.tlm", "prompts": ["ab"], "budgets": 3}}', "unknown field.*'budgets'"),
             ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "budget": 3}', "unknown field.*'budget'"),
+            # once loaded, then failed in run_grid with PCG64's unnamed error
+            ('{"task": {"model": "m.tlm", "prompts": ["ab"]}, "seeds": [0, -1]}', "seeds must be a non-negative"),
         ],
         ids=["no-model", "unknown-kind", "external-scorer", "no-prompts", "no-betas", "float-overflow",
-             "lone-surrogate", "truncated", "not-utf8", "unknown-key", "unknown-task-key", "task-key-at-top"],
+             "lone-surrogate", "truncated", "not-utf8", "unknown-key", "unknown-task-key", "task-key-at-top",
+             "negative-seed"],
     )
     def test_bad_config_is_config_error(self, tmp_path, text, message):
         path = tmp_path / "grid.json"

@@ -488,6 +488,10 @@ class TestBestOfN:
         with pytest.raises(ValueError, match="param"):
             best_of_n_gain(toy_table(), "gamma", 1)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            best_of_n_gain(toy_table(), "beta", 1, seed=-1)
+
 
 class TestThroughputBench:
     def test_report_fields_and_rates(self, small_model):
@@ -541,3 +545,8 @@ class TestSpecValidation:
     def test_grid_lists_nonempty(self, small_model):
         with pytest.raises(ValueError, match="betas"):
             GridSpec(task=small_task(small_model), betas=())
+
+    def test_grid_seeds_non_negative(self, small_model):
+        # trial_seed's SeedSequence raised on it, naming no seed, once the grid ran
+        with pytest.raises(ValueError, match="seeds must be a non-negative integer, got -1"):
+            GridSpec(task=small_task(small_model), seeds=(0, -1))

@@ -159,6 +159,13 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(top_p=1.5)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SamplerConfig(seed=-1)
+        with pytest.raises(TypeError):
+            SamplerConfig(seed=1.0)
+        assert SamplerConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
 
 # ---------------------------------------------------------------------------
 # The fast checks accept and reject exactly what a plain predicate does

@@ -106,6 +106,8 @@ class TestInitRandom:
             ModelConfig(context=0)
         with pytest.raises(ValueError):
             ModelConfig(vocab=1)
+        with pytest.raises(ValueError, match="init_seed must be a non-negative integer, got -2"):
+            ModelConfig(init_seed=-2)
 
 
 class TestWeightFile:
