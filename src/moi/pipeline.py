@@ -374,9 +374,43 @@ def write_trace(result: GenerationResult, path: str | Path) -> None:
             fh.write(_record_to_json(rec))
 
 
+def _check_record(rec: StepRecord, where: str, vocab_size: int | None = None) -> tuple[np.ndarray, int]:
+    """The one rule set of a StepRecord, shared by `read_trace` and
+    `replay_verify`: its checked float64 probs and its token's index in the
+    support, or TraceFormatError naming `where`.  A NaN weight passes, so
+    replay reports it as a deviation; given `vocab_size`, ids lie below it."""
+    if rec.mode not in mix_core.MODES:
+        raise TraceFormatError(f"{where}: unknown mode {rec.mode!r}")
+    support = rec.support
+    if rec.probs.shape != support.shape or rec.weights.shape != support.shape:
+        raise TraceFormatError(f"{where}: probs/weights not aligned with support")
+    try:
+        p = mix_core.check_probs(rec.probs)
+    except ValueError as exc:
+        raise TraceFormatError(f"{where}: probs: {exc}") from exc
+    if not (0.0 <= rec.entropy <= 1.0):
+        raise TraceFormatError(f"{where}: H={rec.entropy} outside [0, 1]")
+    # fmin skips a NaN; check_probs made the arrays 1-D and nonempty
+    if np.fmin.reduce(rec.weights) < 0.0:
+        raise TraceFormatError(f"{where}: weights must be non-negative")
+    ordered = support.copy()
+    ordered.sort()
+    if vocab_size is not None and not (0 <= ordered[0] and ordered[-1] < vocab_size):
+        raise TraceFormatError(f"{where}: support ids outside vocabulary of size {vocab_size}")
+    if ordered[0] < 0:
+        raise TraceFormatError(f"{where}: negative support id")
+    if np.logical_or.reduce(ordered[1:] == ordered[:-1]):
+        raise TraceFormatError(f"{where}: duplicate support ids")
+    hits = support == rec.token
+    if not np.logical_or.reduce(hits):
+        raise TraceFormatError(f"{where}: token {rec.token} not in support")
+    # argmax: the index of the first (and only) hit
+    return p, int(hits.argmax())
+
+
 def read_trace(path: str | Path) -> list[StepRecord]:
-    """The StepRecords of a trace file, checked line by line; any line that
-    breaks the schema raises TraceFormatError naming it."""
+    """The StepRecords of a trace file, checked line by line (exact JSON
+    types, then `_check_record`); a bad line raises TraceFormatError naming it."""
     records: list[StepRecord] = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -405,27 +439,7 @@ def read_trace(path: str | Path) -> list[StepRecord]:
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(f"line {lineno}: bad record: {exc}") from exc
-            if rec.mode not in mix_core.MODES:
-                raise TraceFormatError(f"line {lineno}: unknown mode {rec.mode!r}")
-            if probs.shape != support.shape or weights.shape != support.shape:
-                raise TraceFormatError(f"line {lineno}: probs/weights not aligned with support")
-            try:
-                mix_core.check_probs(probs)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: probs: {exc}") from exc
-            if not (0.0 <= rec.entropy <= 1.0):
-                raise TraceFormatError(f"line {lineno}: H={rec.entropy} outside [0, 1]")
-            # a NaN weight fails both comparisons; check_probs made the arrays nonempty
-            if not (np.minimum.reduce(weights) >= 0.0 and np.maximum.reduce(weights) < math.inf):
-                raise TraceFormatError(f"line {lineno}: weights must be finite and non-negative")
-            ordered = support.copy()
-            ordered.sort()
-            if ordered[0] < 0:
-                raise TraceFormatError(f"line {lineno}: negative support id")
-            if np.logical_or.reduce(ordered[1:] == ordered[:-1]):
-                raise TraceFormatError(f"line {lineno}: duplicate support ids")
-            if not np.logical_or.reduce(support == rec.token):
-                raise TraceFormatError(f"line {lineno}: token {rec.token} not in support")
+            _check_record(rec, f"line {lineno}")
             records.append(rec)
     return records
 
@@ -443,9 +457,8 @@ def replay_verify(
     trace schema does not carry the vocabulary size, so the entropy
     normalizer's `vocab_size` is a parameter here.  Replay runs the
     engine's own `entropy_of` and `feedback_weights` on the support-aligned
-    arrays; a record whose arrays are not aligned, whose support lacks its
-    token or leaves [0, vocab_size), or whose probs are not a distribution
-    raises TraceFormatError.
+    arrays.  A record that breaks `read_trace`'s rules (`_check_record`) or
+    whose support leaves [0, vocab_size) raises TraceFormatError.
     """
     max_h = 0.0
     max_w = 0.0
@@ -455,22 +468,9 @@ def replay_verify(
             raise ValueError(
                 f"step {rec.step}: trace mode {rec.mode!r} incompatible with config mode {cfg.mix.mode!r}"
             )
-        support = rec.support
-        if rec.probs.shape != support.shape or rec.weights.shape != support.shape:
-            raise TraceFormatError(f"step {rec.step}: probs/weights not aligned with support")
-        # axis=None: an in-memory record's arrays may have any shape
-        hits = support == rec.token
-        if not np.logical_or.reduce(hits, axis=None):
-            raise TraceFormatError(f"step {rec.step}: token {rec.token} not in support")
-        if np.minimum.reduce(support, axis=None) < 0 or np.maximum.reduce(support, axis=None) >= vocab_size:
-            raise TraceFormatError(f"step {rec.step}: support ids outside vocabulary of size {vocab_size}")
-        try:
-            p = mix_core.check_probs(rec.probs)
-        except ValueError as exc:
-            raise TraceFormatError(f"step {rec.step}: probs: {exc}") from exc
+        p, pos = _check_record(rec, f"step {rec.step}", vocab_size)
         h = mix_core.entropy_of(p, vocab_size)
-        # argmax: the flat index of the first hit
-        expected = mix_core.feedback_weights(rec.mode, p, hits.argmax(), h, cfg.mix.beta)
+        expected = mix_core.feedback_weights(rec.mode, p, pos, h, cfg.mix.beta)
         h_dev = abs(h - rec.entropy)
         dev = expected - rec.weights
         w_dev = float(np.maximum.reduce(np.abs(dev, out=dev)))

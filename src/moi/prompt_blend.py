@@ -37,15 +37,8 @@ def interpolate_length(matrix: np.ndarray, target_length: int) -> np.ndarray:
     m = _as_matrix(matrix)
     if target_length < 1:
         raise ValueError(f"target length must be >= 1, got {target_length}")
-    length = m.shape[0]
-    if length == target_length:
-        return m.copy()
-    if length == 1:
-        return np.repeat(m, target_length, axis=0)
-    if target_length == 1:
-        return m[:1].copy()
     positions = np.linspace(0.0, 1.0, target_length)
-    grid = np.linspace(0.0, 1.0, length)
+    grid = np.linspace(0.0, 1.0, m.shape[0])
     out = np.empty((target_length, m.shape[1]))
     for col in range(m.shape[1]):
         out[:, col] = np.interp(positions, grid, m[:, col])

@@ -313,4 +313,7 @@ def load_weights(path: str | Path) -> Model:
     for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
         if start < end:
             raise WeightFormatError(f"tensor {other!r} at byte {start} overlaps tensor {name!r}, which ends at {end}")
-    return Model(config, params)
+    try:
+        return Model(config, params)
+    except ValueError as exc:  # Model names the tensor holding a NaN or an infinity
+        raise WeightFormatError(str(exc)) from exc

@@ -205,6 +205,18 @@ class TestGrid:
         assert "CSV line 2 (moi beta=1.0 top_p=0.9 temperature=0.7 seed=0): ValueError: prompt (2) + max_tokens (255)" in proc.stderr
         assert out.read_text() == "mode,beta,top_p,temperature,seed,score\nmoi,1.0,0.9,0.7,0,error\n"
 
+    def test_strict_exits_1_on_failed_trial(self, model_file, tmp_path, capsys):
+        config = {
+            "betas": [1.0], "top_ps": [0.9], "temperatures": [0.7], "modes": ["moi"], "seeds": [0],
+            "task": {"kind": "greedy_recovery", "model": str(model_file), "prompts": ["ab"], "budget": 255},
+        }
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "results.csv"
+        assert cli.main(["grid", "--config", str(cfg_path), "--out", str(out), "--strict"]) == 1
+        assert "1 failed trials" in capsys.readouterr().out
+        assert out.read_text() == "mode,beta,top_p,temperature,seed,score\nmoi,1.0,0.9,0.7,0,error\n"
+
     def test_external_scorer_rejected_from_json(self, model_file, tmp_path):
         config = {"task": {"kind": "external_scorer", "model": str(model_file), "prompts": ["ab"], "budget": 4}}
         cfg_path = tmp_path / "grid.json"

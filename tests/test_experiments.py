@@ -84,6 +84,11 @@ class TestGreedyRecovery:
         with pytest.raises(ValueError, match="budget"):
             greedy_recovery_score(small_model, cfg, [(1,)], 0)
 
+    def test_empty_prompt_set_rejected(self, small_model):
+        cfg = GenConfig(mix=MixConfig("standard", 1.0), sampler=SamplerConfig(), max_tokens=1)
+        with pytest.raises(ValueError, match="prompt set must be nonempty"):
+            greedy_recovery_score(small_model, cfg, [], 2)
+
     def test_deterministic(self, small_model):
         cfg = GenConfig(
             mix=MixConfig("moi", 1.0),
@@ -475,6 +480,22 @@ class TestBestOfN:
         rows = toy_table().rows + [TrialRow("moi", 9.0, 0.4, 0.6, 0, 1.0)]
         curve = best_of_n_gain(ResultsTable(rows=rows), "beta", 3, replicates=0)
         assert dict(curve)[3] == pytest.approx(0.3, abs=1e-12)
+
+    def test_rows_of_another_mode_or_failed_ignored(self):
+        rows = toy_table().rows + [TrialRow("standard", 9.0, 0.95, 0.6, 0, 1.0), TrialRow("moi", 10.0, 0.95, 0.6, 0, math.nan)]
+        curve = best_of_n_gain(ResultsTable(rows=rows), "beta", 3, replicates=0)
+        assert dict(curve)[3] == pytest.approx(0.3, abs=1e-12)
+        with pytest.raises(ValueError, match="exceeds the 3 distinct values"):
+            best_of_n_gain(ResultsTable(rows=rows), "beta", 4, replicates=0)
+
+    @pytest.mark.parametrize(
+        "max_n, replicates, match",
+        [(0, 0, "max_n must be >= 1"), (-1, 64, "max_n must be >= 1"), (1, -1, "replicates must be >= 0")],
+        ids=["max_n-0", "max_n-negative", "replicates-negative"],
+    )
+    def test_bad_count_rejected(self, max_n, replicates, match):
+        with pytest.raises(ValueError, match=match):
+            best_of_n_gain(toy_table(), "beta", max_n, replicates=replicates)
 
     def test_n_exceeding_values_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

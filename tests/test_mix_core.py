@@ -113,6 +113,30 @@ class TestPosteriorMixWeights:
         with pytest.raises(IndexError):
             posterior_mix_weights(IDS4, ORACLE_P, 4, 1.0, 4)
 
+    @pytest.mark.parametrize(
+        "ids, error, match",
+        [
+            (np.arange(3), ValueError, "ids and probs must be aligned"),
+            (np.array([0, 1, 2, 4]), IndexError, "support ids outside vocabulary"),
+            (np.array([-1, 1, 2, 3]), IndexError, "support ids outside vocabulary"),
+        ],
+        ids=["misaligned", "id-above-vocab", "negative-id"],
+    )
+    def test_bad_support_rejected(self, ids, error, match):
+        with pytest.raises(error, match=match):
+            posterior_mix_weights(ids, ORACLE_P, 1, 1.0, 4)
+
+    def test_drifted_probs_are_renormalized(self):
+        # probs 5e-10 above a sum of 1 pass check_probs; the weights drift
+        # past 1e-12 and are divided by their sum
+        p = ORACLE_P * (1.0 + 5e-10)
+        h = normalized_entropy(p, 4)
+        raw = p * (h / 2.0)
+        raw[0] += (2.0 - h) / 2.0
+        assert abs(raw.sum() - 1.0) > 1e-12
+        w = posterior_mix_weights(IDS4, p, 0, 1.0, 4)
+        assert w.weights.tobytes() == (raw / raw.sum()).tobytes()
+
     def test_sampled_outside_support_appended(self):
         ids = np.array([3, 7])
         p = np.array([0.6, 0.4])

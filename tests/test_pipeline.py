@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moi import mix_core
 from moi.experiments import greedy_decode
-from moi.mix_core import MixConfig, check_probs, entropy_of, posterior_mix_weights
+from moi.mix_core import MODES, MixConfig, check_probs, entropy_of, feedback_weights, posterior_mix_weights
 from moi.pipeline import (
     GenConfig,
     GenerationResult,
@@ -154,6 +155,11 @@ class TestIntegerInputs:
     def test_float_max_tokens_rejected(self):
         with pytest.raises(TypeError):
             GenConfig(max_tokens=2.5)
+
+    def test_max_tokens_below_one_rejected(self):
+        for max_tokens in (0, -1):
+            with pytest.raises(ValueError, match=f"max_tokens must be >= 1, got {max_tokens}"):
+                GenConfig(max_tokens=max_tokens)
 
     # operator.index(True) is 1: bools once passed as token ids
     def test_bool_prompt_token_rejected(self, bench_model):
@@ -529,7 +535,94 @@ class TestTraceFuzz:
             assert report.steps == 1
 
 
+@st.composite
+def step_records(draw):
+    """A finite StepRecord: a valid one (the engine's weights for a drawn
+    distribution), or one with zero to three fields replaced by values
+    that may break a record rule."""
+    n = draw(st.integers(1, 5))
+    support = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    probs = raw / raw.sum()
+    pos = draw(st.integers(0, n - 1))
+    mode = draw(st.sampled_from(MODES))
+    entropy = entropy_of(probs, 64)
+    weights = feedback_weights(mode, probs, pos, entropy, 1.0)
+    fields = dict(step=draw(st.integers(0, 1000)), token=support[pos], entropy=entropy,
+                  support=np.array(support, dtype=np.int64), probs=probs, weights=weights, mode=mode)
+    floats = st.floats(-0.5, 1.5)
+    arrays = st.lists(floats, max_size=6).map(np.array)
+    nudged = st.tuples(st.integers(0, n - 1), st.floats(-2e-9, 2e-9))
+    mutations = {
+        "step": st.integers(-5, 2**40),
+        "token": st.integers(-3, 45),
+        "entropy": floats | st.sampled_from([-0.0, 1.0000000000000002, -5e-324]),
+        "support": st.lists(st.integers(-3, 45), max_size=6).map(lambda ids: np.array(ids, dtype=np.int64))
+        | st.tuples(st.integers(0, n - 1), st.sampled_from([*support, -1])).map(lambda d: np.array(
+            [*support[: d[0]], d[1], *support[d[0] + 1 :]], dtype=np.int64)),  # a repeated or negative id
+        "probs": arrays | nudged.map(lambda d: probs + np.eye(n)[d[0]] * d[1]),
+        "weights": arrays | st.integers(0, n - 1).map(lambda i: weights - np.eye(n)[i]),
+        "mode": st.sampled_from(MODES + ("bogus", "")),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(mutations)))
+        fields[key] = draw(mutations[key])
+    return StepRecord(**fields)
+
+
 class TestReplayVerify:
+    @settings(deadline=None, max_examples=300)
+    @given(rec=step_records())
+    def test_replay_refuses_exactly_what_read_trace_refuses(self, tmp_path_factory, rec):
+        # one rule set: replay of the record raises exactly when reading
+        # the line write_trace made of it does
+        path = tmp_path_factory.getbasetemp() / "agree.jsonl"
+        write_trace(GenerationResult([], [rec], 0.0, 0.0, 1), path)
+        try:
+            read_trace(path)
+            refused = False
+        except TraceFormatError:
+            refused = True
+        known = rec.mode in MODES
+        cfg = gen_cfg(mode=rec.mode if known else "moi")
+        vocab = max([1, rec.token, *rec.support.tolist()]) + 1
+        if not refused:
+            assert replay_verify([rec], cfg, vocab_size=vocab).steps == 1
+        elif known:
+            with pytest.raises(TraceFormatError, match=f"^step {rec.step}: "):
+                replay_verify([rec], cfg, vocab_size=vocab)
+        else:
+            with pytest.raises(ValueError, match="incompatible"):
+                replay_verify([rec], cfg, vocab_size=vocab)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(support=np.array([3, 3])), "duplicate support ids"),
+            (dict(entropy=1.5), r"H=1.5 outside \[0, 1\]"),
+            (dict(weights=np.array([1.5, -0.5])), "weights must be non-negative"),
+        ],
+        ids=["duplicate-ids", "entropy-above-1", "negative-weight"],
+    )
+    def test_rule_read_trace_applies_is_format_error(self, fields, message):
+        # a rule read_trace applies to a line holds for an in-memory record too
+        rec = StepRecord(**{**dict(step=2, token=3, entropy=0.0, support=np.array([3, 1]), probs=np.array([1.0, 0.0]),
+                                   weights=np.array([1.0, 0.0]), mode="standard"), **fields})
+        with pytest.raises(TraceFormatError, match=f"^step 2: {message}"):
+            replay_verify([rec], gen_cfg(mode="standard"), vocab_size=4)
+
+    def test_probs_checked_once_per_record(self, bench_model, tmp_path, monkeypatch):
+        cfg = gen_cfg(mode="moi", seed=6, max_tokens=12)
+        path = tmp_path / "t.jsonl"
+        write_trace(generate(bench_model, list(b"hi"), cfg), path)
+        calls = []
+        real = mix_core.check_probs
+        monkeypatch.setattr(mix_core, "check_probs", lambda p: calls.append(1) or real(p))
+        trace = read_trace(path)
+        assert len(calls) == len(trace) == 12
+        assert replay_verify(trace, cfg, vocab_size=256).passed
+        assert len(calls) == 24
+
     def test_engine_trace_passes(self, bench_model, tmp_path):
         for mode in ("standard", "direct_mixture", "moi"):
             cfg = gen_cfg(mode=mode, seed=6, max_tokens=12)

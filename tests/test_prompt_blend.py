@@ -77,6 +77,29 @@ class TestInterpolateLength:
         with pytest.raises(ValueError):
             interpolate_length(mat([1.0]), 0)
 
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.array([1.0, 2.0]), "must be 2-D"),
+            (np.zeros((2, 2, 2)), "must be 2-D"),
+            (np.zeros((0, 3)), "must be 2-D"),
+            (mat([1.0, np.nan]), "non-finite"),
+            (mat([1.0, 2.0], [-np.inf, 0.0]), "non-finite"),
+        ],
+        ids=["1-d", "3-d", "no-rows", "nan", "infinity"],
+    )
+    def test_bad_matrix_rejected(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            interpolate_length(matrix, 2)
+
+    def test_equal_single_and_one_row_lengths_are_exact_bytes(self):
+        # np.interp returns a row itself where a position falls on one, so the
+        # three cases need no branch of their own; -0.0 and huge entries stay
+        m = mat([-0.0, 1.7e308, 2.5], [-1.7e308, 0.0, -3.25], [5e-324, -0.0, 1.0])
+        assert interpolate_length(m, 3).tobytes() == m.tobytes()
+        assert interpolate_length(m, 1).tobytes() == m[:1].tobytes()
+        assert interpolate_length(m[2:], 4).tobytes() == np.repeat(m[2:], 4, axis=0).tobytes()
+
     @settings(deadline=None, max_examples=40)
     @given(
         rows=st.integers(1, 8),

@@ -68,6 +68,11 @@ class TestTopPTruncate:
         assert d.ids.tolist() == [0, 1, 2, 3]
         np.testing.assert_allclose(d.probs, p, atol=1e-15)
 
+    @pytest.mark.parametrize("top_p", [0.0, -0.5, 1.0000000000000002, math.nan, math.inf])
+    def test_top_p_outside_unit_interval_rejected(self, top_p):
+        with pytest.raises(ValueError, match=r"top_p must lie in \(0, 1\]"):
+            top_p_truncate(np.array([0.5, 0.5]), top_p)
+
     def test_first_token_covers(self):
         d = top_p_truncate(np.array([0.5, 0.3, 0.15, 0.05]), 0.4)
         assert d.ids.tolist() == [0]

@@ -109,6 +109,22 @@ class TestInitRandom:
         with pytest.raises(ValueError, match="init_seed must be a non-negative integer, got -2"):
             ModelConfig(init_seed=-2)
 
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda p: p.pop("lnf_b"), ValueError, r"missing tensors: \['lnf_b'\]"),
+            (lambda p: p.update(pos_emb=p["pos_emb"][:-1]), WeightShapeError, "'pos_emb': expected shape"),
+            (lambda p: p["ln1_g"].__setitem__((0, 1), np.nan), ValueError, "'ln1_g' contains non-finite entries"),
+            (lambda p: p["tok_emb"].__setitem__((2, 0), -np.inf), ValueError, "'tok_emb' contains non-finite entries"),
+        ],
+        ids=["missing", "wrong-shape", "nan", "infinity"],
+    )
+    def test_bad_params_rejected(self, small_model, edit, error, match):
+        params = {name: arr.copy() for name, arr in small_model.params.items()}
+        edit(params)
+        with pytest.raises(error, match=match):
+            Model(small_model.config, params)
+
 
 class TestWeightFile:
     def test_round_trip_bit_exact(self, small_model, tmp_path):
@@ -143,6 +159,25 @@ class TestWeightFile:
         path = tmp_path / "junk.tlm"
         path.write_bytes(b"this is not json\nxxxx")
         with pytest.raises(WeightFormatError):
+            load_weights(path)
+
+    def test_no_header_line(self, small_model, tmp_path):
+        path = tmp_path / "m.tlm"
+        save_weights(small_model, path)
+        path.write_bytes(path.read_bytes().split(b"\n", 1)[0])
+        with pytest.raises(WeightFormatError, match="no header line found"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_names_the_tensor(self, small_model, tmp_path, value):
+        path = tmp_path / "m.tlm"
+        save_weights(small_model, path)
+        raw = bytearray(path.read_bytes())
+        nl = raw.find(b"\n")
+        start = nl + 1 + json.loads(raw[:nl])["tensors"][2]["offset"]
+        raw[start : start + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WeightFormatError, match=f"tensor '{TENSOR_ORDER[2]}' contains non-finite entries"):
             load_weights(path)
 
     @pytest.mark.parametrize(
