@@ -10,7 +10,6 @@ ASCII digits with an optional minus is a runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -18,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import experiments, pipeline, prompt_blend, toy_lm
-from .jsonio import INT, NUMBER, STR, has_type, load
+from .jsonio import INT, NUMBER, STR, dump, has_type, load
 from .mix_core import MixConfig
 from .sampler import SamplerConfig
 
@@ -184,8 +183,6 @@ def cmd_bestofn(args) -> int:
         table,
         param=args.param,
         max_n=args.max_n,
-        replicates=args.replicates,
-        seed=_seed_from_env(args.seed),
         mode=_MODE_ALIASES[args.mode],
         defaults=defaults,
     )
@@ -227,9 +224,8 @@ def cmd_bench(args) -> int:
                 "output": report.output_overhead_pct,
             },
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        with open(args.out, "wb") as fh:
+            fh.write(dump(payload))
     return 0
 
 
@@ -289,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True)
     p.add_argument("--param", choices=("beta", "top_p", "temperature"), required=True)
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.add_argument("--replicates", type=int, default=256, help="0 = exact enumeration")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=sorted(_MODE_ALIASES), default="moi")
     p.add_argument("--default-beta", dest="default_beta", type=float, default=1.0)
     p.add_argument("--default-top-p", dest="default_top_p", type=float, default=0.95)

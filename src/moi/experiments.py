@@ -208,14 +208,18 @@ def _worker_init(task: TaskSpec) -> None:
 
 def _run_trial(cfg: GenConfig) -> tuple[float, str | None]:
     """(score, None) for one grid trial, or (NaN, "ExceptionType: message").
-    A weight file that fails to load raises."""
+    A scorer's ±inf is a failed trial, as the CSV holds finite scores; its
+    NaN is a silent failure.  A weight file that fails to load raises."""
     task = _WORKER["task"]
     if _WORKER["model"] is None:
         _WORKER["model"] = load_weights(task.model)
     model = _WORKER["model"]
     try:
         if task.kind == "external_scorer":
-            return float(task.scorer(model, cfg, task.prompts, task.budget)), None
+            score = float(task.scorer(model, cfg, task.prompts, task.budget))
+            if math.isinf(score):
+                raise ValueError(f"scorer returned {score}, not a finite score")
+            return score, None
         return greedy_recovery_score(model, cfg, task.prompts, task.budget, _ref_cache=_WORKER["ref_cache"]), None
     except Exception as exc:
         return math.nan, f"{type(exc).__name__}: {exc}"
@@ -380,22 +384,20 @@ def best_of_n_gain(
     table: ResultsTable,
     param: str,
     max_n: int,
-    replicates: int = 256,
-    seed: int = 0,
     mode: str = "moi",
     defaults: dict | None = None,
 ) -> list[tuple[int, float]]:
     """Expected improvement of best-of-N over the first draw, per N.
 
     For the target `param`, the other two hyperparameters stay at their
-    default settings and per-value scores are seed-averaged.  Each
-    replicate draws N distinct values uniformly; its gain is the best
-    score among them minus the score of the first draw.  `replicates=0`
-    switches to exact enumeration over every (subset, first draw) pair.
+    default settings and per-value scores are seed-averaged.  N distinct
+    values are drawn uniformly; the gain is the expected best score among
+    them minus the expected score of the first draw, computed exactly:
+    with the k cell scores sorted ascending as s, s[j] is the best of
+    C(j, N-1) of the C(k, N) subsets.
     """
     if param not in _PARAM_FIELDS:
         raise ValueError(f"param must be one of {sorted(_PARAM_FIELDS)}, got {param!r}")
-    check_seed(seed)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     defaults = dict(UNIVERSAL_DEFAULTS if defaults is None else defaults)
@@ -413,33 +415,16 @@ def best_of_n_gain(
             f"no usable rows for param {param!r} with {others[0]}={defaults[others[0]]}, "
             f"{others[1]}={defaults[others[1]]}, mode={mode!r}"
         )
-    values = sorted(cells)
-    scores = np.array([float(np.mean(cells[v])) for v in values])
-    k = len(values)
+    scores = np.sort([float(np.mean(v)) for v in cells.values()])
+    k = len(cells)
     if max_n > k:
         raise ValueError(f"max_n={max_n} exceeds the {k} distinct values of {param!r}")
 
-    curve: list[tuple[int, float]] = []
-    if replicates == 0:
-        for n in range(1, max_n + 1):
-            gains = [
-                float(np.max(scores[list(combo)]) - np.mean(scores[list(combo)]))
-                for combo in itertools.combinations(range(k), n)
-            ]
-            curve.append((n, float(np.mean(gains))))
-        return curve
+    def best_weights(n: int) -> np.ndarray:
+        return np.array([math.comb(j, n - 1) / math.comb(k, n) for j in range(k)])
 
-    if replicates < 0:
-        raise ValueError("replicates must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for n in range(1, max_n + 1):
-        total = 0.0
-        for _ in range(replicates):
-            draw = rng.permutation(k)[:n]
-            picked = scores[draw]
-            total += float(picked.max() - picked[0])
-        curve.append((n, total / replicates))
-    return curve
+    first = best_weights(1)
+    return [(n, float((best_weights(n) - first) @ scores)) for n in range(1, max_n + 1)]
 
 
 def save_curve(curve: list[tuple[int, float]], path: str | Path) -> None:

@@ -32,11 +32,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from . import mix_core
 from .embedding import lookup, mix
-from .jsonio import INT, NUMBER, has_type, load
+from .jsonio import INT, NUMBER, dump, has_type, load
 from .mix_core import MixConfig
 from .sampler import (
     SamplerConfig,
@@ -47,8 +46,6 @@ from .sampler import (
     top_p_truncate,
 )
 from .toy_lm import DecoderState, Model
-
-_TRACE_DUMPS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 
 class TraceFormatError(ValueError):
@@ -340,9 +337,9 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
 
 
 def _record_to_json(rec: StepRecord) -> bytes:
-    """One trace line, newline included.  The arrays go to orjson as
-    contiguous int64/float64, so a float32 or strided array is written at
-    its float64 value; orjson would write NaN and inf as null, so a
+    """One trace line, newline included.  The arrays go to `jsonio.dump`
+    as contiguous int64/float64, so a float32 or strided array is written
+    at its float64 value; it would write NaN and inf as null, so a
     non-finite H, prob or weight raises ValueError instead."""
     support = np.ascontiguousarray(rec.support, dtype=np.int64)
     probs = np.ascontiguousarray(rec.probs, dtype=np.float64)
@@ -351,7 +348,7 @@ def _record_to_json(rec: StepRecord) -> bytes:
     finite = np.logical_and.reduce
     if not (math.isfinite(entropy) and finite(np.isfinite(probs)) and finite(np.isfinite(weights))):
         raise ValueError(f"step {rec.step}: non-finite H, probs or weights cannot be written")
-    return orjson.dumps(
+    return dump(
         {
             "step": rec.step,
             "token": rec.token,
@@ -360,8 +357,7 @@ def _record_to_json(rec: StepRecord) -> bytes:
             "probs": probs,
             "weights": weights,
             "mode": rec.mode,
-        },
-        option=_TRACE_DUMPS,
+        }
     )
 
 

@@ -10,12 +10,11 @@ extended beyond the endpoints.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .jsonio import NUMBER, has_type, load
+from .jsonio import NUMBER, dump, has_type, load
 
 
 def _as_matrix(rows: np.ndarray) -> np.ndarray:
@@ -91,6 +90,5 @@ def read_prompt_matrix(path: str | Path) -> np.ndarray:
 
 def write_prompt_matrix(matrix: np.ndarray, path: str | Path) -> None:
     m = _as_matrix(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dim": m.shape[1], "rows": [[float(x) for x in row] for row in m]}, fh)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(dump({"dim": m.shape[1], "rows": np.ascontiguousarray(m)}))

@@ -33,8 +33,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if not (self.temperature > 0.0):
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not (0.0 < self.temperature < math.inf):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
         if not (0.0 < self.top_p <= 1.0):
             raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
 
@@ -63,9 +63,10 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """softmax(logits / T) with max subtraction, in float64."""
-    if not (temperature > 0.0):
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    """softmax(logits / T) with max subtraction, in float64.  T must be
+    finite: at T = inf the probabilities are uniform whatever the logits."""
+    if not (0.0 < temperature < math.inf):
+        raise ValueError(f"temperature must be finite and positive, got {temperature}")
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("logits must be a nonempty 1-D array")

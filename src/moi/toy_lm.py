@@ -18,7 +18,6 @@ what one request needs.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .embedding import EmbeddingTable
-from .jsonio import INT, has_type, load
+from .jsonio import INT, dump, has_type, load
 from .sampler import check_seed
 
 __all__ = [
@@ -254,8 +253,7 @@ def save_weights(model: Model, path: str | Path) -> None:
         "tensors": manifest,
     }
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
+        fh.write(dump(header))
         for blob in blobs:
             fh.write(blob)
 

@@ -196,14 +196,11 @@ def test_criterion_7_best_of_n():
             TrialRow("moi", 3.0, 0.95, 0.6, 0, 0.8),
         ]
     )
-    exact = dict(best_of_n_gain(table, "beta", 3, replicates=0))
+    exact = dict(best_of_n_gain(table, "beta", 3))
     assert exact[1] == 0.0
     assert abs(exact[3] - 0.3) <= 1e-12
     gains = [exact[n] for n in (1, 2, 3)]
     assert all(a <= b + 1e-15 for a, b in zip(gains, gains[1:]))
-
-    mc = dict(best_of_n_gain(table, "beta", 3, replicates=4096, seed=0))
-    assert mc[1] == 0.0
     _report(7, f"best-of-N: gain(1)=0 exactly, gain(3)={exact[3]:.15f}, curve non-decreasing")
 
 
@@ -231,7 +228,7 @@ def test_criterion_8_grid_reproducibility(tmp_path):
     _report(8, f"default grid: 360 rows, bit-identical CSV twice, {first:.1f}s per run")
 
     # the beta column of this real table feeds an exact best-of-N curve
-    curve = best_of_n_gain(load_results(tmp_path / "a.csv"), "beta", 6, replicates=0)
+    curve = best_of_n_gain(load_results(tmp_path / "a.csv"), "beta", 6)
     gains = [g for _, g in curve]
     assert gains[0] == 0.0
     assert all(x <= y + 1e-15 for x, y in zip(gains, gains[1:]))

@@ -151,16 +151,14 @@ class TestNegativeSeed:
     @pytest.mark.parametrize(
         "command, seed_args, env, name",
         [("generate", ["--seed", "-1"], None, "seed"), ("generate", [], "-1", "seed"),
-         ("init-model", ["--seed", "-2"], None, "init_seed"), ("bestofn", ["--seed", "-1"], None, "seed")],
-        ids=["generate", "moi-seed-env", "init-model", "bestofn"],
+         ("init-model", ["--seed", "-2"], None, "init_seed")],
+        ids=["generate", "moi-seed-env", "init-model"],
     )
     def test_names_the_seed(self, model_file, tmp_path, capsys, monkeypatch, command, seed_args, env, name):
-        out, results = tmp_path / "out", tmp_path / "r.csv"
-        results.write_text("mode,beta,top_p,temperature,seed,score\nmoi,1.0,0.95,0.6,0,0.2\n")
+        out = tmp_path / "out"
         argv = {
             "generate": ["generate", "--model", str(model_file), "--prompt", "ab", "--max-tokens", "2"],
             "init-model": ["init-model", "--out", str(out)],
-            "bestofn": ["bestofn", "--results", str(results), "--param", "beta", "--max-n", "1", "--out", str(out)],
         }[command]
         if env is not None:
             monkeypatch.setenv("MOI_SEED", env)
@@ -396,12 +394,24 @@ class TestBestOfN:
         out = tmp_path / "curve.csv"
         proc = run_cli(
             "bestofn", "--results", str(results), "--param", "beta",
-            "--max-n", "3", "--replicates", "0", "--out", str(out),
+            "--max-n", "3", "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
         rows = list(csv.DictReader(out.open()))
         assert float(rows[0]["expected_gain"]) == 0.0
         assert float(rows[2]["expected_gain"]) == pytest.approx(0.3, abs=1e-12)
+
+    def test_replicates_flag_is_usage_error(self, tmp_path):
+        # the curve is exact: there is no sample count or seed to set
+        results = tmp_path / "r.csv"
+        results.write_text("mode,beta,top_p,temperature,seed,score\nmoi,1.0,0.95,0.6,0,0.2\n")
+        out = tmp_path / "curve.csv"
+        proc = run_cli(
+            "bestofn", "--results", str(results), "--param", "beta",
+            "--max-n", "1", "--replicates", "0", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "--replicates" in proc.stderr and not out.exists()
 
 
 class TestBlend:

@@ -2,8 +2,11 @@
 
 import csv
 import io
+import itertools
 import math
+import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -230,6 +233,26 @@ class TestRunGrid:
         assert data == (tmp_path / "par.csv").read_bytes()
         assert data.count(b",error\n") == 4 and b"boom" not in data
 
+    def test_infinite_score_is_a_failed_trial(self, small_model, tmp_path):
+        # an inf score was written as "inf", which load_results refuses
+        task = TaskSpec(model=small_model, prompts=PROMPTS, budget=1, kind="external_scorer",
+                        scorer=lambda model, cfg, prompts, budget: {1.0: math.inf, 2.0: -math.inf, 3.0: 0.5}[cfg.mix.beta])
+        spec = GridSpec(task=task, betas=(1.0, 2.0, 3.0), top_ps=(0.9,), temperatures=(1.0,), seeds=(0,))
+        table = run_grid(spec, out_path=tmp_path / "r.csv")
+        assert table.errors == {0: "ValueError: scorer returned inf, not a finite score",
+                                1: "ValueError: scorer returned -inf, not a finite score"}
+        assert (tmp_path / "r.csv").read_text().endswith("moi,1.0,0.9,1.0,0,error\nmoi,2.0,0.9,1.0,0,error\nmoi,3.0,0.9,1.0,0,0.5\n")
+        assert [repr(r.score) for r in load_results(tmp_path / "r.csv").rows] == ["nan", "nan", "0.5"]
+
+    def test_infinite_temperature_rejected_before_any_row(self, small_model, tmp_path):
+        # T = inf gave uniform probabilities and a temperature cell of "inf",
+        # which load_results refuses
+        task = TaskSpec(model=small_model, prompts=PROMPTS, budget=1, kind="external_scorer", scorer=fixed_scorer)
+        spec = GridSpec(task=task, betas=(1.0,), top_ps=(0.9,), temperatures=(math.inf,), seeds=(0,))
+        with pytest.raises(ValueError, match="temperature must be finite and positive, got inf"):
+            run_grid(spec, out_path=tmp_path / "r.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_prefix_reuse_keeps_csv_bytes(self, small_model, tmp_path):
         # one cache per run_grid call (per worker with jobs > 1) prefills each
         # prompt once; every row must still equal a trial scored from scratch
@@ -437,14 +460,38 @@ class TestResultsFuzz:
         assert load_results(tmp_path / "r.csv").rows == table.rows
 
 
+def enumerated_gain(scores, n: int) -> Fraction:
+    """The best-of-n gain by enumeration, in exact rationals: the mean over
+    every n-subset of its best score minus its mean score."""
+    subsets = list(itertools.combinations(map(Fraction, scores), n))
+    return sum(max(c) - sum(c) / n for c in subsets) / len(subsets)
+
+
 class TestBestOfN:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+    def test_matches_enumeration(self, scores):
+        curve = best_of_n_gain(toy_table(scores), "beta", len(scores))
+        assert curve[0] == (1, 0.0)
+        for n, gain in curve:
+            assert abs(gain - float(enumerated_gain(scores, n))) <= 1e-15
+
+    def test_forty_values_in_under_a_second(self):
+        scores = np.random.Generator(np.random.PCG64(4)).uniform(size=40)
+        t0 = time.perf_counter()
+        curve = best_of_n_gain(toy_table(scores), "beta", 20)
+        assert time.perf_counter() - t0 < 1.0
+        gains = [g for _, g in curve]
+        assert gains[0] == 0.0
+        assert all(a <= b + 1e-15 for a, b in zip(gains, gains[1:]))
+        assert gains[-1] < scores.max() - scores.mean()
+
     def test_n1_gain_exactly_zero(self):
-        for replicates in (0, 64):
-            curve = best_of_n_gain(toy_table(), "beta", 1, replicates=replicates, seed=1)
-            assert curve[0] == (1, 0.0)
+        curve = best_of_n_gain(toy_table(), "beta", 1)
+        assert curve[0] == (1, 0.0)
 
     def test_exact_three_value_table(self):
-        curve = best_of_n_gain(toy_table(), "beta", 3, replicates=0)
+        curve = best_of_n_gain(toy_table(), "beta", 3)
         gains = dict(curve)
         assert gains[3] == pytest.approx(0.3, abs=1e-12)
         assert gains[2] == pytest.approx(0.2, abs=1e-12)
@@ -458,60 +505,47 @@ class TestBestOfN:
                 for i, s in enumerate(scores)
             ]
         )
-        curve = best_of_n_gain(table, "beta", 6, replicates=0)
+        curve = best_of_n_gain(table, "beta", 6)
         gains = [g for _, g in curve]
         assert all(a <= b + 1e-12 for a, b in zip(gains, gains[1:]))
-
-    def test_monte_carlo_converges_to_exact(self):
-        exact = dict(best_of_n_gain(toy_table(), "beta", 3, replicates=0))
-        mc = dict(best_of_n_gain(toy_table(), "beta", 3, replicates=20000, seed=5))
-        assert mc[3] == pytest.approx(exact[3], abs=0.01)
 
     def test_seed_averaging_within_cells(self):
         rows = [
             TrialRow("moi", 1.0, 0.95, 0.6, s, sc)
             for s, sc in ((0, 0.1), (1, 0.3))
         ] + [TrialRow("moi", 2.0, 0.95, 0.6, 0, 0.8)]
-        curve = best_of_n_gain(ResultsTable(rows=rows), "beta", 2, replicates=0)
+        curve = best_of_n_gain(ResultsTable(rows=rows), "beta", 2)
         # cells: beta1 -> 0.2, beta2 -> 0.8; N=2 gain = 0.8 - (0.2+0.8)/2
         assert dict(curve)[2] == pytest.approx(0.3, abs=1e-12)
 
     def test_rows_off_default_ignored(self):
         rows = toy_table().rows + [TrialRow("moi", 9.0, 0.4, 0.6, 0, 1.0)]
-        curve = best_of_n_gain(ResultsTable(rows=rows), "beta", 3, replicates=0)
+        curve = best_of_n_gain(ResultsTable(rows=rows), "beta", 3)
         assert dict(curve)[3] == pytest.approx(0.3, abs=1e-12)
 
     def test_rows_of_another_mode_or_failed_ignored(self):
         rows = toy_table().rows + [TrialRow("standard", 9.0, 0.95, 0.6, 0, 1.0), TrialRow("moi", 10.0, 0.95, 0.6, 0, math.nan)]
-        curve = best_of_n_gain(ResultsTable(rows=rows), "beta", 3, replicates=0)
+        curve = best_of_n_gain(ResultsTable(rows=rows), "beta", 3)
         assert dict(curve)[3] == pytest.approx(0.3, abs=1e-12)
         with pytest.raises(ValueError, match="exceeds the 3 distinct values"):
-            best_of_n_gain(ResultsTable(rows=rows), "beta", 4, replicates=0)
+            best_of_n_gain(ResultsTable(rows=rows), "beta", 4)
 
-    @pytest.mark.parametrize(
-        "max_n, replicates, match",
-        [(0, 0, "max_n must be >= 1"), (-1, 64, "max_n must be >= 1"), (1, -1, "replicates must be >= 0")],
-        ids=["max_n-0", "max_n-negative", "replicates-negative"],
-    )
-    def test_bad_count_rejected(self, max_n, replicates, match):
-        with pytest.raises(ValueError, match=match):
-            best_of_n_gain(toy_table(), "beta", max_n, replicates=replicates)
+    @pytest.mark.parametrize("max_n", [0, -1], ids=["max_n-0", "max_n-negative"])
+    def test_bad_count_rejected(self, max_n):
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            best_of_n_gain(toy_table(), "beta", max_n)
 
     def test_n_exceeding_values_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            best_of_n_gain(toy_table(), "beta", 4, replicates=0)
+            best_of_n_gain(toy_table(), "beta", 4)
 
     def test_missing_cells_rejected(self):
         with pytest.raises(ValueError, match="no usable rows"):
-            best_of_n_gain(toy_table(), "top_p", 1, replicates=0, defaults={"beta": 99.0, "top_p": 0.95, "temperature": 0.6})
+            best_of_n_gain(toy_table(), "top_p", 1, defaults={"beta": 99.0, "top_p": 0.95, "temperature": 0.6})
 
     def test_bad_param_rejected(self):
         with pytest.raises(ValueError, match="param"):
             best_of_n_gain(toy_table(), "gamma", 1)
-
-    def test_negative_seed_named(self):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-            best_of_n_gain(toy_table(), "beta", 1, seed=-1)
 
 
 class TestThroughputBench:

@@ -1,4 +1,4 @@
-"""The strict JSON reader: one policy for all four loaders, and no second parser."""
+"""The strict JSON codec: one policy for all four loaders, one writer, and no second parser."""
 
 import ast
 import json
@@ -132,4 +132,22 @@ def test_no_module_but_jsonio_parses_json():
                     offenders.append(f"{path.name}:{node.lineno} calls {'.'.join(called)}")
             elif isinstance(node, ast.ImportFrom) and any((node.module, a.name) in PARSERS for a in node.names):
                 offenders.append(f"{path.name}:{node.lineno} imports a parser from {node.module}")
+    assert offenders == []
+
+
+def test_no_module_but_jsonio_imports_a_json_codec():
+    # one codec reads and writes, so a float has one written form
+    offenders = []
+    for path in sorted(Path(jsonio.__file__).parent.glob("*.py")):
+        if path.name == "jsonio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("json", "orjson") for m in modules):
+                offenders.append(f"{path.name}:{node.lineno} imports {', '.join(modules)}")
     assert offenders == []

@@ -3,7 +3,10 @@ records, byte for byte.
 
 The first path pinned here is the Prefill's tree of decoded positions: a
 sequence of generations from one Prefill, with settings that change along
-the way, must each equal a fresh `generate` without a prefix.
+the way, must each equal a fresh `generate` without a prefix.  On drawn
+models, settings and budgets, a generation from a prefix must equal a
+fresh one, and a written trace must read back to the same records and
+replay with deviations of exactly 0.0.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from moi import pipeline
 from moi.mix_core import MixConfig
-from moi.pipeline import GenConfig, Prefill, generate, prefill
+from moi.pipeline import GenConfig, Prefill, generate, prefill, read_trace, replay_verify, write_trace
 from moi.sampler import SamplerConfig
 from moi.toy_lm import Model, ModelConfig, init_random
 
@@ -135,3 +138,50 @@ class TestPrefillTree:
             for _ in range(2):
                 with pytest.raises(ValueError, match="non-finite"):
                     generate(bench_model, [1, 2], gen_cfg(dict(key, temperature=0.5), 0, 1), prefix=odd)
+
+
+@st.composite
+def drawn_requests(draw):
+    """A small random model, a prompt, a config with a budget that fits
+    the context, and 2-4 sampler seeds."""
+    heads = draw(st.integers(1, 3))
+    config = ModelConfig(
+        vocab=draw(st.integers(2, 40)),
+        dim=heads * draw(st.integers(1, 6)),
+        heads=heads,
+        layers=draw(st.integers(1, 2)),
+        context=draw(st.integers(2, 16)),
+        init_seed=draw(st.integers(0, 2**32)),
+    )
+    prompt = draw(st.lists(st.integers(0, config.vocab - 1), min_size=1, max_size=config.context - 1))
+    key = {
+        "mode": draw(st.sampled_from(MODES)),
+        "beta": draw(st.floats(0.01, 100.0)),
+        "temperature": draw(st.floats(0.05, 4.0)),
+        "top_p": draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
+    }
+    max_tokens = draw(st.integers(1, config.context - len(prompt)))
+    stops = draw(st.lists(st.integers(0, config.vocab - 1), max_size=3))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=4))
+    return init_random(config), prompt, [gen_cfg(key, seed, max_tokens, stops) for seed in seeds]
+
+
+class TestDrawnModels:
+    @settings(deadline=None, max_examples=300)
+    @given(case=drawn_requests())
+    def test_prefix_and_trace_paths_equal_a_fresh_generation(self, tmp_path_factory, case):
+        model, prompt, cfgs = case
+        start = prefill(model, prompt)
+        trace = tmp_path_factory.getbasetemp() / "drawn.jsonl"
+        for cfg in cfgs:
+            fresh = generate(model, prompt, cfg)
+            shared = generate(model, prompt, cfg, prefix=start)
+            assert shared.tokens == fresh.tokens
+            assert records_sha256(shared.records) == records_sha256(fresh.records)
+
+            write_trace(fresh, trace)
+            back = read_trace(trace)
+            assert records_sha256(back) == records_sha256(fresh.records)
+            report = replay_verify(back, cfg, vocab_size=model.config.vocab, tolerance=0.0)
+            assert report.passed
+            assert report.max_entropy_dev == 0.0 and report.max_weight_dev == 0.0

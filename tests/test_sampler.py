@@ -55,6 +55,14 @@ class TestApplyTemperature:
         with pytest.raises(ValueError):
             apply_temperature(np.array([1.0, 2.0]), 0.0)
 
+    @pytest.mark.parametrize("temperature", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        # at T = inf the probabilities were uniform, whatever the logits
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            apply_temperature(np.array([1.0, 2.0]), temperature)
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            SamplerConfig(temperature=temperature)
+
 
 class TestTopPTruncate:
     def test_prefix_rule(self):
