@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .mix_core import MODES, MixConfig, token_id
-from .pipeline import GenConfig, Prefill, check_prompt, generate, prefill, start_state
+from .pipeline import GenConfig, Prefill, check_prompt, fill_trees, generate, prefill, start_state
 from .sampler import SamplerConfig, check_seed
 from .toy_lm import Model, load_weights
 
@@ -172,7 +172,9 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     Each prompt is prefilled once; its greedy decode and its sampled
     generation both start from that prefill.  `_ref_cache` ((prompt,
     budget, stop tokens) -> (reference, prefill)) carries both across
-    calls with the same model, so a grid prefills each prompt once.
+    calls with the same model, so a grid prefills each prompt once.  The
+    sampled generations run as a batch first (`pipeline.fill_trees`), and
+    each `generate` then walks its prefill's tree.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1: nothing to compare")
@@ -180,7 +182,7 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     if not prompts:
         raise ValueError("prompt set must be nonempty")
     cfg = replace(cfg, max_tokens=budget)
-    matches = 0
+    entries = []
     for prompt in prompts:
         key = (prompt, budget, cfg.stop_tokens)
         entry = None if _ref_cache is None else _ref_cache.get(key)
@@ -189,7 +191,11 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
             entry = (greedy_decode(model, prompt, budget, cfg.stop_tokens, prefix=start), start)
             if _ref_cache is not None:
                 _ref_cache[key] = entry
-        reference, start = entry
+        entries.append(entry)
+    # a prefix from another model is left to generate, which rejects it
+    fill_trees([start for _, start in entries if start.model is model], cfg)
+    matches = 0
+    for prompt, (reference, start) in zip(prompts, entries):
         result = generate(model, prompt, cfg, prefix=start)
         matches += int(result.tokens == reference)
     return matches / len(prompts)

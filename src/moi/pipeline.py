@@ -16,6 +16,9 @@ Generations from one Prefill also share the positions they decoded: a
 tree keyed by token holds each position's K/V rows and next distribution,
 so a seed that samples an opening an earlier seed sampled copies those
 rows instead of running the forward and the sampler's softmax and top-p.
+`fill_trees` grows many Prefills' trees with one batched forward per
+position (byte-identical to one row at a time), so the `generate` calls
+that follow only walk them; a lone prompt length is left to `generate`.
 
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mix_core
+from . import kernels, mix_core
 from .embedding import lookup, mix
 from .jsonio import INT, NUMBER, dump, has_type, load
 from .mix_core import MixConfig
@@ -183,17 +186,18 @@ class Prefill:
             tree.key, tree.size = key, 0
         return tree.root
 
-    def _grow(self, parent: _Node, token: int, state: DecoderState, logits: np.ndarray) -> _Node | None:
-        """Add the child for `token` under `parent`: the position the
-        forward just wrote into `state` and the `logits` it returned.  None,
-        adding nothing, once the tree holds a full context."""
+    def _grow(self, parent: _Node, token: int, k_row, v_row, logits: np.ndarray) -> _Node | None:
+        """Add the child for `token` under `parent`: the K and V rows
+        (layers, heads, head_dim) the forward just wrote and the `logits` it
+        returned.  None, adding nothing, once the tree holds a full context."""
         tree = self._tree
         config = self.model.config
         if tree.size >= config.context:
             return None
         _, _, temperature, top_p = tree.key
-        at = state.length - 1
-        rows = np.stack((state.k_cache[:, :, at], state.v_cache[:, :, at]))
+        rows = np.empty((2, *k_row.shape))
+        rows[0] = k_row
+        rows[1] = v_row
         child = parent.children[token] = _Node(rows, logits, temperature, top_p, config.vocab)
         tree.size += 1
         return child
@@ -319,7 +323,8 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
         fed = table.matrix[token].copy() if applied_mode == "standard" else mix(table.matrix64, ids, weights)
         logits = model.forward_step(state, fed)
         if node is not None:
-            node = prefix._grow(node, token, state, logits)
+            at = state.length - 1
+            node = prefix._grow(node, token, state.k_cache[:, :, at], state.v_cache[:, :, at], logits)
     decode_seconds = time.perf_counter() - t1
 
     return GenerationResult(
@@ -329,6 +334,76 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
         decode_seconds=decode_seconds,
         prompt_tokens=len(prompt),
     )
+
+
+# rows per `kernels.decode_rows` call in `fill_trees`: bounds its batch caches
+FILL_ROWS = 32
+
+
+def fill_trees(prefixes, cfg: GenConfig) -> None:
+    """Grow the tree of each distinct Prefill in `prefixes` along the path
+    `generate(model, prompt, cfg, prefix=p)` takes, which then runs no
+    forward.  Prefills of one model and prompt length decode in lockstep:
+    each row samples its node with its own `make_rng(cfg.sampler.seed)`,
+    takes an existing child or builds the fed vector as `generate` does,
+    and the rows that need a forward run as one `kernels.decode_rows` call
+    (up to FILL_ROWS rows) whose results join the trees through `_grow`.
+    A group of one Prefill is left to `generate`.  States are only read."""
+    groups: dict = {}
+    for p in dict.fromkeys(prefixes):
+        groups.setdefault((id(p.model), len(p.prompt)), []).append(p)
+    for group in groups.values():
+        if len(group) > 1:
+            calls = -(-len(group) // FILL_ROWS)
+            for i in range(calls):
+                _fill_rows(group[i::calls], cfg)
+
+
+def _fill_rows(prefixes: list[Prefill], cfg: GenConfig) -> None:
+    """`fill_trees` for distinct Prefills of one model and prompt length."""
+    model, start = prefixes[0].model, len(prefixes[0].prompt)
+    # the group shares its model and prompt length, so one request check covers it
+    state, _ = start_state(model, list(prefixes[0].prompt), cfg.max_tokens, prefixes[0])
+    k_cache, v_cache = np.zeros((2, len(prefixes), *state.k_cache.shape))
+    k_cache[:, :, :, :start] = [p.state.k_cache[:, :, :start] for p in prefixes]
+    v_cache[:, :, :, :start] = [p.state.v_cache[:, :, :start] for p in prefixes]
+    table, params = model.embedding_table, model.kernel_params
+    mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
+    # each row's node, None once it stops or leaves a full tree
+    nodes = [p._root(cfg) for p in prefixes]
+    rngs = [make_rng(cfg.sampler.seed) for _ in prefixes]
+    # the last token is never fed
+    for pos in range(start, start + cfg.max_tokens - 1):
+        slots, tokens, fed = [], [], []
+        for slot, node in enumerate(nodes):
+            if node is None:
+                continue
+            ids, probs = trunc = node.dist
+            at = sample_position(trunc, rngs[slot])
+            token = int(ids[at])
+            if token in stop_tokens:
+                nodes[slot] = None
+            elif token in node.children:
+                nodes[slot] = child = node.children[token]
+                k_cache[slot, :, :, pos] = child.rows[0]
+                v_cache[slot, :, :, pos] = child.rows[1]
+            else:
+                weights = mix_core.feedback_weights(mode, probs, at, node.entropy, beta)
+                fed.append(table.matrix[token] if mode == "standard" else mix(table.matrix64, ids, weights))
+                slots.append(slot)
+                tokens.append(token)
+        if not slots:
+            continue
+        whole = len(slots) == len(nodes)
+        # unless every row runs, the forward writes position pos into copies
+        k_rows, v_rows = (k_cache, v_cache) if whole else (k_cache[slots], v_cache[slots])
+        logits = kernels.decode_rows(np.array(fed, dtype=np.float64)[:, None], pos, params, k_rows, v_rows)
+        if not whole:
+            k_cache[slots, :, :, pos] = k_rows[:, :, :, pos]
+            v_cache[slots, :, :, pos] = v_rows[:, :, :, pos]
+        for j, slot in enumerate(slots):
+            k_row, v_row = k_rows[j, :, :, pos], v_rows[j, :, :, pos]
+            nodes[slot] = prefixes[slot]._grow(nodes[slot], tokens[j], k_row, v_row, logits[j])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moi import experiments
+from moi import experiments, kernels
 from moi.experiments import (
     RESULTS_HEADER,
     GridSpec,
@@ -135,12 +135,14 @@ class TestGreedyRecovery:
             greedy_recovery_score(bench_model, stopped, prompts, 5)
         )
 
-    def test_cache_from_another_model_raises(self, small_model, bench_model):
+    def test_cache_from_another_model_raises(self, small_model, bench_model, monkeypatch):
         cfg = GenConfig(mix=MixConfig("moi", 1.0), sampler=SamplerConfig(), max_tokens=4)
         cache = {}
-        greedy_recovery_score(bench_model, cfg, [(1, 2)], 4, _ref_cache=cache)
+        greedy_recovery_score(bench_model, cfg, [(1, 2), (3, 4)], 4, _ref_cache=cache)
+        # before any batched forward: the two prompts would batch
+        monkeypatch.setattr(kernels, "decode_rows", lambda *a: pytest.fail("a batched forward ran"))
         with pytest.raises(ValueError, match="another model"):
-            greedy_recovery_score(small_model, cfg, [(1, 2)], 4, _ref_cache=cache)
+            greedy_recovery_score(small_model, cfg, [(1, 2), (3, 4)], 4, _ref_cache=cache)
 
     def test_greedy_decode_stops_at_stop_token(self, stub_model):
         stop = stub_model.token_at(1)

@@ -7,7 +7,18 @@ the way, must each equal a fresh `generate` without a prefix.  On drawn
 models, settings and budgets, a generation from a prefix must equal a
 fresh one, and a written trace must read back to the same records and
 replay with deviations of exactly 0.0.
+
+The batched path: `kernels.decode_rows` must give every row the bytes
+`kernels.decode_step` gives it alone, whatever rows share its batch, and a
+grid trial whose trees `fill_trees` grew in batches must score, write and
+record exactly what plain `generate` calls do.  The drawn invariants also
+cover a request-sized state against a full-context one, `greedy_decode`
+with and without a prefix, and the moi weight bounds.
 """
+
+import collections
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moi import pipeline
+from moi import experiments, kernels, pipeline
+from moi.embedding import lookup, mix
+from moi.experiments import GridSpec, TaskSpec, greedy_decode, greedy_recovery_score, run_grid, trial_seed
 from moi.mix_core import MixConfig
-from moi.pipeline import GenConfig, Prefill, generate, prefill, read_trace, replay_verify, write_trace
+from moi.pipeline import GenConfig, Prefill, fill_trees, generate, prefill, read_trace, replay_verify, write_trace
 from moi.sampler import SamplerConfig
 from moi.toy_lm import Model, ModelConfig, init_random
 
@@ -141,18 +154,24 @@ class TestPrefillTree:
 
 
 @st.composite
-def drawn_requests(draw):
-    """A small random model, a prompt, a config with a budget that fits
-    the context, and 2-4 sampler seeds."""
+def drawn_configs(draw, min_context: int = 2):
+    """A small random model configuration."""
     heads = draw(st.integers(1, 3))
-    config = ModelConfig(
+    return ModelConfig(
         vocab=draw(st.integers(2, 40)),
         dim=heads * draw(st.integers(1, 6)),
         heads=heads,
         layers=draw(st.integers(1, 2)),
-        context=draw(st.integers(2, 16)),
+        context=draw(st.integers(min_context, 16)),
         init_seed=draw(st.integers(0, 2**32)),
     )
+
+
+@st.composite
+def drawn_requests(draw):
+    """A small random model, a prompt, a config with a budget that fits
+    the context, and 2-4 sampler seeds."""
+    config = draw(drawn_configs())
     prompt = draw(st.lists(st.integers(0, config.vocab - 1), min_size=1, max_size=config.context - 1))
     key = {
         "mode": draw(st.sampled_from(MODES)),
@@ -185,3 +204,210 @@ class TestDrawnModels:
             report = replay_verify(back, cfg, vocab_size=model.config.vocab, tolerance=0.0)
             assert report.passed
             assert report.max_entropy_dev == 0.0 and report.max_weight_dev == 0.0
+
+
+class TestDrawnInvariants:
+    @settings(deadline=None, max_examples=150)
+    @given(case=drawn_requests())
+    def test_request_sized_state_and_greedy_prefix(self, case):
+        model, prompt, cfgs = case
+        budget = cfgs[0].max_tokens
+        fed = prompt + generate(model, prompt, cfgs[0]).tokens[:-1]
+        sized, full = model.new_state(len(prompt) + budget - 1), model.new_state()
+        for token in fed:
+            row = lookup(model.embedding_table, token)
+            assert model.forward_step(sized, row).tobytes() == model.forward_step(full, row).tobytes()
+        stops = cfgs[0].stop_tokens
+        start = prefill(model, prompt)
+        assert greedy_decode(model, prompt, budget, stops, prefix=start) == greedy_decode(model, prompt, budget, stops)
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=drawn_requests())
+    def test_moi_records_meet_the_weight_bounds(self, case):
+        model, prompt, cfgs = case
+        m64 = model.embedding_table.matrix64
+        for cfg in cfgs:
+            cfg = replace(cfg, mix=replace(cfg.mix, mode="moi"))
+            beta = cfg.mix.beta
+            for rec in generate(model, prompt, cfg).records:
+                if rec.mode != "moi":  # a stop step
+                    continue
+                at = int(np.flatnonzero(rec.support == rec.token)[0])
+                h, p_y = rec.entropy, rec.probs[at]
+                assert abs(math.fsum(rec.weights) - 1.0) <= 1e-12
+                assert rec.weights[at] >= (beta + 1.0 - h) / (beta + 1.0)
+                # criterion 5: |fed - e_y|_inf <= H (1 - p_y) / (beta + 1) * max_i |e_i - e_y|_inf
+                gap = np.max(np.abs(mix(m64, rec.support, rec.weights) - m64[rec.token]))
+                radius = np.max(np.abs(m64 - m64[rec.token]))
+                assert gap <= h * (1.0 - p_y) / (beta + 1.0) * radius + 1e-6
+
+
+def assert_rows_tie(model: Model, batch: int, positions: int, seed: int) -> None:
+    """Feed `batch` rows of random inputs at positions 0 .. positions-1 through
+    `decode_rows` three ways (all rows, the rows permuted, all rows but one)
+    and through `decode_step` one row at a time: every row's logits and K/V
+    must be the same bytes each way."""
+    config, params = model.config, model.kernel_params
+    rng = np.random.default_rng(seed)
+    orders = {"all": np.arange(batch), "permuted": rng.permutation(batch)}
+    if batch > 1:
+        orders["dropped"] = np.delete(np.arange(batch), rng.integers(batch))
+    shape = (config.layers, config.heads, positions, config.dim // config.heads)
+    single = [(np.zeros(shape), np.zeros(shape)) for _ in range(batch)]
+    caches = {name: (np.zeros((len(order), *shape)), np.zeros((len(order), *shape))) for name, order in orders.items()}
+    for pos in range(positions):
+        x = rng.normal(size=(batch, 1, config.dim))
+        want = [kernels.decode_step(x[r, 0].copy(), pos, params, *single[r]) for r in range(batch)]
+        for name, order in orders.items():
+            k, v = caches[name]
+            got = kernels.decode_rows(x[order], pos, params, k, v)
+            assert got.shape == (len(order), config.vocab)
+            for j, r in enumerate(order):
+                assert got[j].tobytes() == want[r].tobytes(), (name, pos, r)
+                assert k[j, :, :, pos].tobytes() == single[r][0][:, :, pos].tobytes(), (name, pos, r)
+                assert v[j, :, :, pos].tobytes() == single[r][1][:, :, pos].tobytes(), (name, pos, r)
+    for name, order in orders.items():
+        for j, r in enumerate(order):
+            assert caches[name][0][j].tobytes() == single[r][0].tobytes(), name
+            assert caches[name][1][j].tobytes() == single[r][1].tobytes(), name
+
+
+class TestDecodeRows:
+    @settings(deadline=None, max_examples=40)
+    @given(config=drawn_configs(), batch=st.sampled_from((1, 3, 8, 32)), seed=st.integers(0, 2**32))
+    def test_rows_equal_decode_step_at_every_position(self, config, batch, seed):
+        assert_rows_tie(init_random(config), batch, config.context, seed)
+
+    def test_default_model_positions_0_to_255(self, default_model):
+        assert_rows_tie(default_model, 3, default_model.config.context, 0)
+
+
+@st.composite
+def drawn_trials(draw):
+    """A small random model; 3-7 prompts of 1-3 tokens, one of them
+    repeated; a budget that fits the longest prompt, at the context limit
+    half the time; stop tokens; and 1-3 grid settings with seeds."""
+    config = draw(drawn_configs(min_context=4))
+    prompt = st.lists(st.integers(0, config.vocab - 1), min_size=1, max_size=3).map(tuple)
+    prompts = draw(st.lists(prompt, min_size=2, max_size=6))
+    prompts.insert(draw(st.integers(0, len(prompts))), draw(st.sampled_from(prompts)))
+    room = config.context - max(map(len, prompts))
+    budget = draw(st.one_of(st.just(room), st.integers(1, room)))
+    stops = draw(st.lists(st.integers(0, config.vocab - 1), max_size=2))
+    cfgs = [
+        gen_cfg({name: draw(st.sampled_from(CHOICES[name])) for name in FIELDS}, draw(st.integers(0, 2**32)), budget, stops)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return init_random(config), prompts, budget, cfgs
+
+
+def plain_score(model: Model, cfg: GenConfig, prompts, budget: int) -> tuple[float, list[str]]:
+    """A trial scored by plain `generate` calls, with no prefix and no fill:
+    the score and each prompt's records_sha256."""
+    results = [generate(model, prompt, cfg) for prompt in prompts]
+    refs = [greedy_decode(model, prompt, budget, cfg.stop_tokens) for prompt in prompts]
+    score = sum(r.tokens == ref for r, ref in zip(results, refs)) / len(prompts)
+    return score, [records_sha256(r.records) for r in results]
+
+
+class TestFilledTrials:
+    @settings(deadline=None, max_examples=80)
+    @given(case=drawn_trials())
+    def test_filled_trials_equal_plain_generate_calls(self, case):
+        model, prompts, budget, cfgs = case
+        context = model.config.context
+        batched = {n for n, count in collections.Counter(map(len, set(prompts))).items() if count > 1}
+        cache, seen = {}, []
+        real_generate, real_step = experiments.generate, kernels.decode_step
+        forwards = []
+
+        def spy_generate(model, prompt, cfg, prefix):
+            forwards.clear()
+            result = real_generate(model, prompt, cfg, prefix=prefix)
+            seen.append((prompt, prefix, records_sha256(result.records), len(forwards)))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "generate", spy_generate)
+            mp.setattr(kernels, "decode_step", lambda *a: forwards.append(a[1]) or real_step(*a))
+            for cfg in cfgs:
+                seen.clear()
+                score = greedy_recovery_score(model, cfg, prompts, budget, _ref_cache=cache)
+                want_score, want_records = plain_score(model, cfg, prompts, budget)
+                assert score == want_score
+                assert [digest for _, _, digest, _ in seen] == want_records
+                for prompt, start, _, steps in seen:
+                    # a filled tree serves the whole generation unless it filled up
+                    if len(prompt) in batched and start._tree.size < context:
+                        assert steps == 0, prompt
+        for (prompt, *_), (_, start) in cache.items():
+            fresh = prefill(model, prompt)
+            assert start.state.length == fresh.state.length
+            assert start.state.k_cache.tobytes() == fresh.state.k_cache.tobytes()
+            assert start.state.v_cache.tobytes() == fresh.state.v_cache.tobytes()
+
+    @settings(deadline=None, max_examples=6)
+    @given(case=drawn_trials())
+    def test_grid_csv_equals_one_without_fills(self, tmp_path_factory, case):
+        model, prompts, budget, cfgs = case
+        key = cfgs[0]
+        spec = GridSpec(
+            task=TaskSpec(model=model, prompts=prompts, budget=budget, stop_tokens=key.stop_tokens),
+            betas=(key.mix.beta,),
+            top_ps=(key.sampler.top_p,),
+            temperatures=(key.sampler.temperature,),
+            modes=MODES,
+            seeds=(0, 1),
+        )
+        out = tmp_path_factory.mktemp("grid")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "fill_trees", lambda prefixes, cfg: None)
+            run_grid(spec, out_path=out / "plain.csv", jobs=1)
+        serial = run_grid(spec, out_path=out / "serial.csv", jobs=1)
+        run_grid(spec, out_path=out / "parallel.csv", jobs=2)
+        data = (out / "plain.csv").read_bytes()
+        assert (out / "serial.csv").read_bytes() == data == (out / "parallel.csv").read_bytes()
+        want = [
+            plain_score(model, experiments._trial_config(spec.task, *config, trial_seed(seed, ci, ri)), prompts, budget)[0]
+            for ci, config in enumerate(spec.configs())
+            for ri, seed in enumerate(spec.seeds)
+        ]
+        assert [row.score for row in serial.rows] == want
+
+    def test_capped_trees_equal_plain_generate_calls(self, model12):
+        prompts = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 2, 3)]
+        key = {"mode": "moi", "beta": 1.0, "temperature": 1.5, "top_p": 1.0}
+        cache = {}
+        for seed in range(12):
+            cfg = gen_cfg(key, seed, 9)
+            want, _ = plain_score(model12, cfg, prompts, 9)
+            assert greedy_recovery_score(model12, cfg, prompts, 9, _ref_cache=cache) == want
+        starts = [start for _, start in cache.values()]
+        assert max(start._tree.size for start in starts) == model12.config.context
+        for start in starts:
+            cfg = gen_cfg(key, 12, 9)
+            shared = generate(model12, list(start.prompt), cfg, prefix=start)
+            assert records_sha256(shared.records) == records_sha256(generate(model12, list(start.prompt), cfg).records)
+
+    def test_generate_after_a_fill_runs_no_forward(self, bench_model, monkeypatch):
+        prompts = [tuple(b"ab"), tuple(b"cd"), tuple(b"ef")]
+        cfg = gen_cfg({"mode": "direct_mixture", "beta": 1.0, "temperature": 1.0, "top_p": 0.95}, 7, 12)
+        fresh = [records_sha256(generate(bench_model, p, cfg).records) for p in prompts]
+        starts = [prefill(bench_model, p) for p in prompts]
+        states = [(s.state.k_cache.tobytes(), s.state.v_cache.tobytes()) for s in starts]
+        calls = []
+        real_rows = kernels.decode_rows
+        monkeypatch.setattr(kernels, "decode_rows", lambda *a: calls.append(len(a[0])) or real_rows(*a))
+        fill_trees(starts + starts[:1], cfg)
+        assert calls == [3] * 11
+        monkeypatch.setattr(kernels, "decode_step", lambda *a: pytest.fail("generate ran a forward"))
+        for prompt, start, state, digest in zip(prompts, starts, states, fresh):
+            assert records_sha256(generate(bench_model, prompt, cfg, prefix=start).records) == digest
+            assert (start.state.k_cache.tobytes(), start.state.v_cache.tobytes()) == state
+
+    def test_a_group_of_one_is_not_filled(self, bench_model, monkeypatch):
+        monkeypatch.setattr(kernels, "decode_rows", lambda *a: pytest.fail("a lone prompt length was batched"))
+        cfg = gen_cfg({"mode": "moi", "beta": 1.0, "temperature": 0.6, "top_p": 0.95}, 0, 5)
+        start = prefill(bench_model, b"ab")
+        fill_trees([start, start, prefill(bench_model, b"xyz")], cfg)
+        assert start._tree.size == 0
