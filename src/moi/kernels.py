@@ -19,8 +19,8 @@ head_dim), so numpy calls for each row the gemv `decode_step` calls: every
 row is byte-identical to its own `decode_step`, whatever rows share the
 batch.  A gemm, ``(B, d) @ W``, is faster but differs by up to 1.3e-14, as
 OpenBLAS picks its kernel by B.  A row costs about 34 us at B = 10 against
-84 us for `decode_step`, but 128 us at B = 1, so one sequence keeps
-`decode_step`.
+84 us for `decode_step`, but 128 us at B = 1: the decode loop runs a lone
+row's forward through `decode_step`, and two or more through `decode_rows`.
 
 Hot-path rule (here, in the sampler, the weight rules and the mix): on
 vectors this short a step costs mostly call overhead, so use ufunc methods

@@ -16,9 +16,10 @@ Generations from one Prefill also share the positions they decoded: a
 tree keyed by token holds each position's K/V rows and next distribution,
 so a seed that samples an opening an earlier seed sampled copies those
 rows instead of running the forward and the sampler's softmax and top-p.
-`fill_trees` grows many Prefills' trees with one batched forward per
-position (byte-identical to one row at a time), so the `generate` calls
-that follow only walk them; a lone prompt length is left to `generate`.
+One loop decodes: `generate` runs it on one row, and `fill_trees` on the
+Prefills of one prompt length at once, one batched forward a position
+(byte-identical to one row at a time), so the `generate` calls that
+follow only walk their trees.
 
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
@@ -63,7 +64,9 @@ class GenConfig:
     stop_tokens: frozenset = frozenset()
 
     def __post_init__(self):
-        # not int(): a float count or token id raises TypeError, a bool id too
+        # not int(): a float or bool count or token id raises TypeError
+        if isinstance(self.max_tokens, bool):
+            raise TypeError("max_tokens must be an integer, not a bool")
         object.__setattr__(self, "max_tokens", operator.index(self.max_tokens))
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
@@ -186,15 +189,16 @@ class Prefill:
             tree.key, tree.size = key, 0
         return tree.root
 
-    def _grow(self, parent: _Node, token: int, k_row, v_row, logits: np.ndarray) -> _Node | None:
-        """Add the child for `token` under `parent`: the K and V rows
-        (layers, heads, head_dim) the forward just wrote and the `logits` it
+    def _grow(self, parent: _Node, token: int, state: DecoderState, logits: np.ndarray) -> _Node | None:
+        """Add the child for `token` under `parent`: the K and V rows the
+        forward just wrote at `state`'s last position and the `logits` it
         returned.  None, adding nothing, once the tree holds a full context."""
         tree = self._tree
         config = self.model.config
         if tree.size >= config.context:
             return None
         _, _, temperature, top_p = tree.key
+        k_row, v_row = state.k_cache[:, :, state.length - 1], state.v_cache[:, :, state.length - 1]
         rows = np.empty((2, *k_row.shape))
         rows[0] = k_row
         rows[1] = v_row
@@ -231,6 +235,8 @@ def start_state(model: Model, prompt: list[int], new_tokens: int, prefix: Prefil
     prompt is run through the model; with it, `prefix` must come from the
     same model object and the same prompt, and its state is forked."""
     context = model.config.context
+    if isinstance(new_tokens, bool):
+        raise TypeError("a decode's token count must be an integer, not a bool")
     if operator.index(new_tokens) < 1:
         raise ValueError(f"a decode needs at least 1 new token, got {new_tokens}")
     if len(prompt) + new_tokens > context:
@@ -249,7 +255,7 @@ def start_state(model: Model, prompt: list[int], new_tokens: int, prefix: Prefil
 
 
 def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None) -> GenerationResult:
-    """Run the decode loop: sample, weight, mix, feed back.
+    """Run the decode loop on one row: sample, weight, mix, feed back.
 
     `prompt` is a nonempty sequence of token ids; prompt positions are fed
     as plain embedding rows (mixing applies only to generated positions).
@@ -267,73 +273,15 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     fork; steps served from the tree count in `decode_seconds`.
     """
     prompt = check_prompt(model, prompt)
-    vocab = model.config.vocab
     rng = make_rng(cfg.sampler.seed)
     t0 = time.perf_counter()
     state, logits = start_state(model, prompt, cfg.max_tokens, prefix)
     prefill_seconds = time.perf_counter() - t0
-
-    table = model.embedding_table
-    temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
-    mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
-    last = cfg.max_tokens - 1
-    tokens: list[int] = []
-    records: list[StepRecord] = []
     t1 = time.perf_counter()
-    # the tree node of the position this step samples from, or None: no
-    # prefix, or the path left a full tree
-    node = None if prefix is None else prefix._root(cfg)
-    for step in range(cfg.max_tokens):
-        if node is None:
-            trunc = top_p_truncate(apply_temperature(logits, temperature), top_p)
-            ids, probs = trunc
-            entropy = mix_core.entropy_of(probs, vocab)
-        else:
-            trunc, entropy = node.dist, node.entropy
-            ids, probs = trunc.ids, trunc.probs.copy()
-        pos = sample_position(trunc, rng)
-        token = int(ids[pos])
-        stop = token in stop_tokens
-        applied_mode = "standard" if stop else mode
-        weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, beta)
-
-        tokens.append(token)
-        records.append(
-            StepRecord(
-                step=step,
-                token=token,
-                entropy=entropy,
-                support=ids.copy(),
-                probs=probs,
-                weights=weights,
-                mode=applied_mode,
-            )
-        )
-        if stop or step == last:
-            break
-        if node is not None:
-            child = node.children.get(token)
-            if child is not None:
-                length = state.length
-                state.k_cache[:, :, length] = child.rows[0]
-                state.v_cache[:, :, length] = child.rows[1]
-                state.length = length + 1
-                node = child
-                continue
-        fed = table.matrix[token].copy() if applied_mode == "standard" else mix(table.matrix64, ids, weights)
-        logits = model.forward_step(state, fed)
-        if node is not None:
-            at = state.length - 1
-            node = prefix._grow(node, token, state.k_cache[:, :, at], state.v_cache[:, :, at], logits)
+    records: list[StepRecord] = []
+    _decode(model, cfg, [_Row(0, state, prefix, None if prefix is None else prefix._root(cfg), logits, rng, records)])
     decode_seconds = time.perf_counter() - t1
-
-    return GenerationResult(
-        tokens=tokens,
-        records=records,
-        prefill_seconds=prefill_seconds,
-        decode_seconds=decode_seconds,
-        prompt_tokens=len(prompt),
-    )
+    return GenerationResult([rec.token for rec in records], records, prefill_seconds, decode_seconds, len(prompt))
 
 
 # rows per `kernels.decode_rows` call in `fill_trees`: bounds its batch caches
@@ -343,67 +291,117 @@ FILL_ROWS = 32
 def fill_trees(prefixes, cfg: GenConfig) -> None:
     """Grow the tree of each distinct Prefill in `prefixes` along the path
     `generate(model, prompt, cfg, prefix=p)` takes, which then runs no
-    forward.  Prefills of one model and prompt length decode in lockstep:
-    each row samples its node with its own `make_rng(cfg.sampler.seed)`,
-    takes an existing child or builds the fed vector as `generate` does,
-    and the rows that need a forward run as one `kernels.decode_rows` call
-    (up to FILL_ROWS rows) whose results join the trees through `_grow`.
-    A group of one Prefill is left to `generate`.  States are only read."""
+    forward.  Prefills of one model and prompt length run `generate`'s loop
+    as the rows of a batch, split evenly into calls of at most FILL_ROWS,
+    whose states view one cache of their prompts' K/V.  A row has its own
+    `make_rng(cfg.sampler.seed)` and no records, and ends at a stop token,
+    at its last fed token or when its tree is full.  A group of one Prefill
+    is left to `generate`.  The Prefills' states are only read."""
     groups: dict = {}
     for p in dict.fromkeys(prefixes):
         groups.setdefault((id(p.model), len(p.prompt)), []).append(p)
     for group in groups.values():
-        if len(group) > 1:
-            calls = -(-len(group) // FILL_ROWS)
-            for i in range(calls):
-                _fill_rows(group[i::calls], cfg)
+        calls = -(-len(group) // FILL_ROWS) if len(group) > 1 else 0
+        for i in range(calls):
+            part = group[i::calls]
+            first, start = part[0], len(part[0].prompt)
+            # the part shares its model and prompt length, so one request check covers it
+            state, _ = start_state(first.model, list(first.prompt), cfg.max_tokens, first)
+            k_cache, v_cache = np.zeros((2, len(part), *state.k_cache.shape))
+            k_cache[:, :, :, :start] = [p.state.k_cache[:, :, :start] for p in part]
+            v_cache[:, :, :, :start] = [p.state.v_cache[:, :, :start] for p in part]
+            rows = [
+                _Row(slot, DecoderState(k, v, start), p, p._root(cfg), None, make_rng(cfg.sampler.seed))
+                for slot, (p, k, v) in enumerate(zip(part, k_cache, v_cache))
+            ]
+            _decode(first.model, cfg, rows, k_cache, v_cache)
 
 
-def _fill_rows(prefixes: list[Prefill], cfg: GenConfig) -> None:
-    """`fill_trees` for distinct Prefills of one model and prompt length."""
-    model, start = prefixes[0].model, len(prefixes[0].prompt)
-    # the group shares its model and prompt length, so one request check covers it
-    state, _ = start_state(model, list(prefixes[0].prompt), cfg.max_tokens, prefixes[0])
-    k_cache, v_cache = np.zeros((2, len(prefixes), *state.k_cache.shape))
-    k_cache[:, :, :, :start] = [p.state.k_cache[:, :, :start] for p in prefixes]
-    v_cache[:, :, :, :start] = [p.state.v_cache[:, :, :start] for p in prefixes]
-    table, params = model.embedding_table, model.kernel_params
+@dataclass(slots=True, eq=False)
+class _Row:
+    """A sequence `_decode` steps, at `slot` of the batch caches: it samples
+    from `node`, else from `logits` (no Prefill, or its path left a full
+    tree), and feeds `token`; a fill row has no `records`."""
+
+    slot: int
+    state: DecoderState
+    prefix: Prefill | None
+    node: _Node | None
+    logits: np.ndarray | None
+    rng: np.random.Generator
+    records: list[StepRecord] | None = None
+    token: int = -1
+
+
+def _decode(model: Model, cfg: GenConfig, rows: list[_Row], k_cache=None, v_cache=None) -> None:
+    """The decode loop: step `rows`, all at one position, in lockstep for
+    `cfg`.  A row samples, keeps its record, then ends, walks to its node's
+    child or feeds a vector.  One fed row runs `model.forward_step`, more
+    one `kernels.decode_rows` over `k_cache` and `v_cache`, the batch caches
+    their states view; each result grows the row's tree (`Prefill._grow`)."""
+    table, vocab = model.embedding_table, model.config.vocab
+    temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
     mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
-    # each row's node, None once it stops or leaves a full tree
-    nodes = [p._root(cfg) for p in prefixes]
-    rngs = [make_rng(cfg.sampler.seed) for _ in prefixes]
-    # the last token is never fed
-    for pos in range(start, start + cfg.max_tokens - 1):
-        slots, tokens, fed = [], [], []
-        for slot, node in enumerate(nodes):
+    last = cfg.max_tokens - 1
+    live = rows
+    # a fill row records nothing, so it does not sample the last token, which is never fed
+    for step in range(cfg.max_tokens if rows[0].records is not None else last):
+        going, feeding, fed = [], [], []
+        for row in live:
+            node = row.node
             if node is None:
-                continue
-            ids, probs = trunc = node.dist
-            at = sample_position(trunc, rngs[slot])
-            token = int(ids[at])
-            if token in stop_tokens:
-                nodes[slot] = None
-            elif token in node.children:
-                nodes[slot] = child = node.children[token]
-                k_cache[slot, :, :, pos] = child.rows[0]
-                v_cache[slot, :, :, pos] = child.rows[1]
+                trunc = top_p_truncate(apply_temperature(row.logits, temperature), top_p)
+                entropy = mix_core.entropy_of(trunc.probs, vocab)
             else:
-                weights = mix_core.feedback_weights(mode, probs, at, node.entropy, beta)
-                fed.append(table.matrix[token] if mode == "standard" else mix(table.matrix64, ids, weights))
-                slots.append(slot)
-                tokens.append(token)
-        if not slots:
+                trunc, entropy = node.dist, node.entropy
+            ids, probs = trunc
+            pos = sample_position(trunc, row.rng)
+            token = int(ids[pos])
+            stop = token in stop_tokens
+            applied_mode = "standard" if stop else mode
+            weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, beta)
+            if row.records is not None:
+                # a record holds none of the tree's arrays
+                kept = probs if node is None else probs.copy()
+                row.records.append(StepRecord(step, token, entropy, ids.copy(), kept, weights, applied_mode))
+            if stop or step == last:
+                continue
+            going.append(row)
+            child = None if node is None else node.children.get(token)
+            if child is not None:
+                state = row.state
+                state.k_cache[:, :, state.length] = child.rows[0]
+                state.v_cache[:, :, state.length] = child.rows[1]
+                state.length += 1
+                row.node = child
+                continue
+            row.token = token
+            fed.append(table.matrix[token] if applied_mode == "standard" else mix(table.matrix64, ids, weights))
+            feeding.append(row)
+        live = going
+        if len(feeding) == 1:
+            row = feeding[0]
+            row.logits = model.forward_step(row.state, fed[0])
+        elif feeding:
+            slots = [row.slot for row in feeding]
+            pos = feeding[0].state.length
+            whole = len(slots) == len(rows)
+            # unless every row runs, the forward writes position pos into copies
+            k_rows, v_rows = (k_cache, v_cache) if whole else (k_cache[slots], v_cache[slots])
+            logits = kernels.decode_rows(np.array(fed, np.float64)[:, None], pos, model.kernel_params, k_rows, v_rows)
+            if not whole:
+                k_cache[slots, :, :, pos] = k_rows[:, :, :, pos]
+                v_cache[slots, :, :, pos] = v_rows[:, :, :, pos]
+            for row, row_logits in zip(feeding, logits):
+                row.logits = row_logits
+                row.state.length += 1
+        else:
             continue
-        whole = len(slots) == len(nodes)
-        # unless every row runs, the forward writes position pos into copies
-        k_rows, v_rows = (k_cache, v_cache) if whole else (k_cache[slots], v_cache[slots])
-        logits = kernels.decode_rows(np.array(fed, dtype=np.float64)[:, None], pos, params, k_rows, v_rows)
-        if not whole:
-            k_cache[slots, :, :, pos] = k_rows[:, :, :, pos]
-            v_cache[slots, :, :, pos] = v_rows[:, :, :, pos]
-        for j, slot in enumerate(slots):
-            k_row, v_row = k_rows[j, :, :, pos], v_rows[j, :, :, pos]
-            nodes[slot] = prefixes[slot]._grow(nodes[slot], tokens[j], k_row, v_row, logits[j])
+        for row in feeding:
+            if row.node is not None:
+                row.node = row.prefix._grow(row.node, row.token, row.state, row.logits)
+                if row.node is None and row.records is None:
+                    live.remove(row)  # a fill row ends when its tree is full
 
 
 # ---------------------------------------------------------------------------

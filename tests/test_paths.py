@@ -27,10 +27,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moi import experiments, kernels, pipeline
-from moi.embedding import lookup, mix
+from moi.embedding import EmbeddingTable, lookup, mix
 from moi.experiments import GridSpec, TaskSpec, greedy_decode, greedy_recovery_score, run_grid, trial_seed
 from moi.mix_core import MixConfig
-from moi.pipeline import GenConfig, Prefill, fill_trees, generate, prefill, read_trace, replay_verify, write_trace
+from moi.pipeline import (
+    GenConfig,
+    Prefill,
+    fill_trees,
+    generate,
+    prefill,
+    read_trace,
+    replay_verify,
+    start_state,
+    write_trace,
+)
 from moi.sampler import SamplerConfig
 from moi.toy_lm import Model, ModelConfig, init_random
 
@@ -206,6 +216,26 @@ class TestDrawnModels:
             assert report.max_entropy_dev == 0.0 and report.max_weight_dev == 0.0
 
 
+@st.composite
+def drawn_mixes(draw):
+    """A float32 table with two opposite rows of size 2^30 to 2^40 and
+    normal ones, and a support in drawn order that holds both big rows,
+    with equal weights, and 1 to vocab - 2 others.  The big terms cancel
+    exactly only where they meet in the sum, so a sum in another order
+    rounds away bits that even the float32 narrowing keeps."""
+    vocab, dim = draw(st.integers(3, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    table = rng.normal(size=(vocab, dim))
+    big, other = rng.choice(vocab, 2, replace=False)
+    table[big] = rng.choice([-1.0, 1.0], dim) * 2.0 ** draw(st.integers(30, 40))
+    table[other] = -table[big]
+    rest = [i for i in rng.permutation(vocab) if i not in (big, other)]
+    ids = rng.permutation([big, other, *rest[: draw(st.integers(1, vocab - 2))]])
+    weights = rng.uniform(0.01, 1.0, ids.size)
+    weights[ids == other] = weights[ids == big]
+    return EmbeddingTable(table.astype(np.float32)).matrix64, ids, weights / weights.sum()
+
+
 class TestDrawnInvariants:
     @settings(deadline=None, max_examples=150)
     @given(case=drawn_requests())
@@ -220,6 +250,10 @@ class TestDrawnInvariants:
         stops = cfgs[0].stop_tokens
         start = prefill(model, prompt)
         assert greedy_decode(model, prompt, budget, stops, prefix=start) == greedy_decode(model, prompt, budget, stops)
+        # the last token is never fed, so a request holds exactly L + n - 1 positions
+        assert start.state.capacity == len(prompt)
+        for prefix in (None, start):
+            assert start_state(model, prompt, budget, prefix)[0].capacity == len(prompt) + budget - 1
 
     @settings(deadline=None, max_examples=150)
     @given(case=drawn_requests())
@@ -240,6 +274,14 @@ class TestDrawnInvariants:
                 gap = np.max(np.abs(mix(m64, rec.support, rec.weights) - m64[rec.token]))
                 radius = np.max(np.abs(m64 - m64[rec.token]))
                 assert gap <= h * (1.0 - p_y) / (beta + 1.0) * radius + 1e-6
+
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=drawn_mixes())
+    def test_mix_sums_in_ascending_id_order(self, case):
+        matrix64, ids, weights = case
+        order = ids.argsort()
+        assert mix(matrix64, ids, weights).tobytes() == mix(matrix64, ids[order], weights[order]).tobytes()
 
 
 def assert_rows_tie(model: Model, batch: int, positions: int, seed: int) -> None:
@@ -404,6 +446,26 @@ class TestFilledTrials:
         for prompt, start, state, digest in zip(prompts, starts, states, fresh):
             assert records_sha256(generate(bench_model, prompt, cfg, prefix=start).records) == digest
             assert (start.state.k_cache.tobytes(), start.state.v_cache.tobytes()) == state
+
+    @pytest.mark.parametrize("n", [33, 65])
+    def test_a_large_group_splits_into_balanced_calls(self, n, monkeypatch):
+        model = init_random(ModelConfig(vocab=32, dim=16, heads=2, layers=1, context=8, init_seed=3))
+        prompts = [(i // 32, i % 32) for i in range(n)]
+        cfg = gen_cfg({"mode": "moi", "beta": 1.0, "temperature": 1.0, "top_p": 1.0}, 4, 5)
+        fresh = [records_sha256(generate(model, p, cfg).records) for p in prompts]
+        starts = [prefill(model, p) for p in prompts]
+        calls = []
+        real_rows = kernels.decode_rows
+        monkeypatch.setattr(kernels, "decode_rows", lambda *a: calls.append(len(a[0])) or real_rows(*a))
+        fill_trees(starts, cfg)
+        # no stop token and no shared tree: every row runs each of the 4 fed positions
+        parts = -(-n // pipeline.FILL_ROWS)
+        sizes = [len(range(i, n, parts)) for i in range(parts)]
+        assert max(sizes) <= pipeline.FILL_ROWS and max(sizes) - min(sizes) <= 1
+        assert calls == [size for size in sizes for _ in range(4)]
+        monkeypatch.setattr(kernels, "decode_step", lambda *a: pytest.fail("generate ran a forward"))
+        for prompt, start, digest in zip(prompts, starts, fresh):
+            assert records_sha256(generate(model, prompt, cfg, prefix=start).records) == digest
 
     def test_a_group_of_one_is_not_filled(self, bench_model, monkeypatch):
         monkeypatch.setattr(kernels, "decode_rows", lambda *a: pytest.fail("a lone prompt length was batched"))

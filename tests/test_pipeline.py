@@ -1,5 +1,6 @@
 """Generation loop, step records, trace files, and replay verification."""
 
+import ast
 import copy
 import hashlib
 import json
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moi import mix_core
-from moi.experiments import greedy_decode
+from moi import mix_core, pipeline
+from moi.experiments import GridSpec, TaskSpec, greedy_decode, run_grid
 from moi.mix_core import MODES, MixConfig, check_probs, entropy_of, feedback_weights, posterior_mix_weights
 from moi.pipeline import (
     GenConfig,
@@ -137,6 +138,27 @@ def assert_same_result(a, b):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+# the calls of one decode step; replay_verify may also call the weight rule,
+# which it recomputes from a trace with no step around it
+STEP_CALLS = ("sample_position", "feedback_weights", "mix", "_grow")
+
+
+def test_one_function_runs_the_decode_step():
+    # a second step loop would call these from a second function
+    callers = {name: set() for name in STEP_CALLS}
+    source = Path(pipeline.__file__).read_text(encoding="utf-8")
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if called in callers:
+                    callers[called].add(func.name)
+    callers["feedback_weights"].discard("replay_verify")
+    assert callers == dict.fromkeys(STEP_CALLS, {"_decode"})
+
+
 class TestIntegerInputs:
     # each of these was once coerced: int() truncates 1.7 and 2.5, and
     # frozenset("ab") makes stop tokens of characters that never match
@@ -169,6 +191,17 @@ class TestIntegerInputs:
     def test_bool_stop_token_rejected(self):
         with pytest.raises(TypeError, match="bool"):
             GenConfig(stop_tokens=[True])
+
+    def test_bool_counts_rejected(self, bench_model, tmp_path):
+        with pytest.raises(TypeError, match="max_tokens must be an integer, not a bool"):
+            GenConfig(max_tokens=True)
+        with pytest.raises(TypeError, match="token count must be an integer, not a bool"):
+            greedy_decode(bench_model, [1, 2], True)
+        # the grid builds every trial's GenConfig before its first trial
+        spec = GridSpec(task=TaskSpec(model=bench_model, prompts=[(1, 2)], budget=True), seeds=(0,))
+        with pytest.raises(TypeError, match="max_tokens must be an integer, not a bool"):
+            run_grid(spec, out_path=tmp_path / "grid.csv")
+        assert not list(tmp_path.iterdir())
 
     def test_numpy_integers_accepted(self, bench_model):
         assert check_prompt(bench_model, [np.int64(1), np.uint8(2)]) == [1, 2]
