@@ -253,6 +253,8 @@ def run_grid(
     A failing trial records score NaN ("error" in the CSV), its error goes
     to the table's `errors`, and the grid continues.
     """
+    if isinstance(jobs, bool):
+        raise TypeError("jobs must be an integer, not a bool")
     trials = [
         (ci, ri, config, seed)
         for ci, config in enumerate(spec.configs())
@@ -404,6 +406,8 @@ def best_of_n_gain(
     """
     if param not in _PARAM_FIELDS:
         raise ValueError(f"param must be one of {sorted(_PARAM_FIELDS)}, got {param!r}")
+    if isinstance(max_n, bool):
+        raise TypeError("max_n must be an integer, not a bool")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     defaults = dict(UNIVERSAL_DEFAULTS if defaults is None else defaults)
@@ -494,6 +498,8 @@ def throughput_bench(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if isinstance(runs, bool):
+        raise TypeError("runs must be an integer, not a bool")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     prompts = [tuple(map(token_id, p)) for p in prompts]

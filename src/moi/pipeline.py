@@ -273,18 +273,17 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     fork; steps served from the tree count in `decode_seconds`.
     """
     prompt = check_prompt(model, prompt)
-    rng = make_rng(cfg.sampler.seed)
     t0 = time.perf_counter()
     state, logits = start_state(model, prompt, cfg.max_tokens, prefix)
     prefill_seconds = time.perf_counter() - t0
     t1 = time.perf_counter()
     records: list[StepRecord] = []
-    _decode(model, cfg, [_Row(0, state, prefix, None if prefix is None else prefix._root(cfg), logits, rng, records)])
+    _decode(model, cfg, [_Row(state, prefix, None if prefix is None else prefix._root(cfg), logits, records)])
     decode_seconds = time.perf_counter() - t1
     return GenerationResult([rec.token for rec in records], records, prefill_seconds, decode_seconds, len(prompt))
 
 
-# rows per `kernels.decode_rows` call in `fill_trees`: bounds its batch caches
+# rows per `fill_trees` call to `_decode`: bounds the caches it stacks a step
 FILL_ROWS = 32
 
 
@@ -292,11 +291,11 @@ def fill_trees(prefixes, cfg: GenConfig) -> None:
     """Grow the tree of each distinct Prefill in `prefixes` along the path
     `generate(model, prompt, cfg, prefix=p)` takes, which then runs no
     forward.  Prefills of one model and prompt length run `generate`'s loop
-    as the rows of a batch, split evenly into calls of at most FILL_ROWS,
-    whose states view one cache of their prompts' K/V.  A row has its own
-    `make_rng(cfg.sampler.seed)` and no records, and ends at a stop token,
-    at its last fed token or when its tree is full.  A group of one Prefill
-    is left to `generate`.  The Prefills' states are only read."""
+    as the rows of a batch, split evenly into calls of at most FILL_ROWS.
+    A row starts as `generate` does, from `start_state`, keeps no records,
+    and ends at a stop token, at its last fed token or when its tree is
+    full.  A group of one Prefill is left to `generate`.  The Prefills'
+    states are only read."""
     groups: dict = {}
     for p in dict.fromkeys(prefixes):
         groups.setdefault((id(p.model), len(p.prompt)), []).append(p)
@@ -304,45 +303,36 @@ def fill_trees(prefixes, cfg: GenConfig) -> None:
         calls = -(-len(group) // FILL_ROWS) if len(group) > 1 else 0
         for i in range(calls):
             part = group[i::calls]
-            first, start = part[0], len(part[0].prompt)
-            # the part shares its model and prompt length, so one request check covers it
-            state, _ = start_state(first.model, list(first.prompt), cfg.max_tokens, first)
-            k_cache, v_cache = np.zeros((2, len(part), *state.k_cache.shape))
-            k_cache[:, :, :, :start] = [p.state.k_cache[:, :, :start] for p in part]
-            v_cache[:, :, :, :start] = [p.state.v_cache[:, :, :start] for p in part]
-            rows = [
-                _Row(slot, DecoderState(k, v, start), p, p._root(cfg), None, make_rng(cfg.sampler.seed))
-                for slot, (p, k, v) in enumerate(zip(part, k_cache, v_cache))
-            ]
-            _decode(first.model, cfg, rows, k_cache, v_cache)
+            states = [start_state(p.model, list(p.prompt), cfg.max_tokens, p)[0] for p in part]
+            _decode(part[0].model, cfg, [_Row(s, p, p._root(cfg), None) for s, p in zip(states, part)])
 
 
 @dataclass(slots=True, eq=False)
 class _Row:
-    """A sequence `_decode` steps, at `slot` of the batch caches: it samples
-    from `node`, else from `logits` (no Prefill, or its path left a full
-    tree), and feeds `token`; a fill row has no `records`."""
+    """A sequence `_decode` steps with its own `state`: it samples from
+    `node`, else from `logits` (no Prefill, or its path left a full tree),
+    and feeds `token`; a fill row has no `records`."""
 
-    slot: int
     state: DecoderState
     prefix: Prefill | None
     node: _Node | None
     logits: np.ndarray | None
-    rng: np.random.Generator
     records: list[StepRecord] | None = None
     token: int = -1
 
 
-def _decode(model: Model, cfg: GenConfig, rows: list[_Row], k_cache=None, v_cache=None) -> None:
+def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
     """The decode loop: step `rows`, all at one position, in lockstep for
-    `cfg`.  A row samples, keeps its record, then ends, walks to its node's
-    child or feeds a vector.  One fed row runs `model.forward_step`, more
-    one `kernels.decode_rows` over `k_cache` and `v_cache`, the batch caches
-    their states view; each result grows the row's tree (`Prefill._grow`)."""
+    `cfg`; step k of every row takes the k-th draw of the seed's stream.  A
+    row samples, keeps its record, then ends, walks to its node's child or
+    feeds a vector.  One fed row runs `model.forward_step`, more one
+    `kernels.decode_rows` over a stack of their caches, whose new position
+    is written back to each state; each result grows the row's tree."""
     table, vocab = model.embedding_table, model.config.vocab
     temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
     mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
     last = cfg.max_tokens - 1
+    draws = make_rng(cfg.sampler.seed).random(cfg.max_tokens)
     live = rows
     # a fill row records nothing, so it does not sample the last token, which is never fed
     for step in range(cfg.max_tokens if rows[0].records is not None else last):
@@ -355,7 +345,7 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row], k_cache=None, v_cach
             else:
                 trunc, entropy = node.dist, node.entropy
             ids, probs = trunc
-            pos = sample_position(trunc, row.rng)
+            pos = sample_position(trunc, draws[step])
             token = int(ids[pos])
             stop = token in stop_tokens
             applied_mode = "standard" if stop else mode
@@ -383,18 +373,15 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row], k_cache=None, v_cach
             row = feeding[0]
             row.logits = model.forward_step(row.state, fed[0])
         elif feeding:
-            slots = [row.slot for row in feeding]
             pos = feeding[0].state.length
-            whole = len(slots) == len(rows)
-            # unless every row runs, the forward writes position pos into copies
-            k_rows, v_rows = (k_cache, v_cache) if whole else (k_cache[slots], v_cache[slots])
+            k_rows = np.stack([row.state.k_cache for row in feeding])
+            v_rows = np.stack([row.state.v_cache for row in feeding])
             logits = kernels.decode_rows(np.array(fed, np.float64)[:, None], pos, model.kernel_params, k_rows, v_rows)
-            if not whole:
-                k_cache[slots, :, :, pos] = k_rows[:, :, :, pos]
-                v_cache[slots, :, :, pos] = v_rows[:, :, :, pos]
-            for row, row_logits in zip(feeding, logits):
-                row.logits = row_logits
+            for row, k, v, row_logits in zip(feeding, k_rows, v_rows, logits):
+                row.state.k_cache[:, :, pos] = k[:, :, pos]
+                row.state.v_cache[:, :, pos] = v[:, :, pos]
                 row.state.length += 1
+                row.logits = row_logits
         else:
             continue
         for row in feeding:
@@ -436,18 +423,20 @@ def _record_to_json(rec: StepRecord) -> bytes:
 
 def write_trace(result: GenerationResult, path: str | Path) -> None:
     """One StepRecord per line: compact JSON with shortest round-trip
-    floats.  A record that cannot be written raises ValueError, after the
-    lines before it."""
+    floats.  A record that `read_trace` would refuse (`_check_record`) or
+    that cannot be written raises ValueError, after the lines before it."""
     with open(path, "wb") as fh:
         for rec in result.records:
+            _check_record(rec, f"step {rec.step}")
             fh.write(_record_to_json(rec))
 
 
 def _check_record(rec: StepRecord, where: str, vocab_size: int | None = None) -> tuple[np.ndarray, int]:
-    """The one rule set of a StepRecord, shared by `read_trace` and
-    `replay_verify`: its checked float64 probs and its token's index in the
-    support, or TraceFormatError naming `where`.  A NaN weight passes, so
-    replay reports it as a deviation; given `vocab_size`, ids lie below it."""
+    """The one rule set of a StepRecord, shared by `write_trace`,
+    `read_trace` and `replay_verify`: its checked float64 probs and its
+    token's index in the support, or TraceFormatError naming `where`.  A
+    NaN weight passes, so replay reports it as a deviation (`write_trace`
+    refuses it); given `vocab_size`, ids lie below it."""
     if rec.mode not in mix_core.MODES:
         raise TraceFormatError(f"{where}: unknown mode {rec.mode!r}")
     support = rec.support

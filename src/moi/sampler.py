@@ -4,7 +4,7 @@ The sampler is the conventional recipe and is reused unchanged by every
 feedback mode: scale logits by 1/T, softmax, keep the smallest
 descending-probability prefix whose cumulative mass reaches top_p,
 renormalize, then draw by inverse CDF.  The random stream is a PCG64
-generator; each token consumes exactly one float64 draw, so a trace is
+generator: token k of a decode takes its k-th float64, so a trace is
 reproducible from (logits, T, top_p, seed) alone.
 
 These functions run once per decoded token and follow the hot-path rule
@@ -106,12 +106,8 @@ def top_p_truncate(probs: np.ndarray, top_p: float) -> TruncatedDistribution:
     return TruncatedDistribution(order[:keep], kept / np.add.reduce(kept))
 
 
-def sample_position(dist: TruncatedDistribution, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; returns the *position* within the ordered support.
-
-    Consumes exactly one float64 uniform from `rng`: the result is the
-    first support position whose cumulative probability exceeds the draw.
-    """
-    u = rng.random()
+def sample_position(dist: TruncatedDistribution, u: float) -> int:
+    """Inverse-CDF draw; returns the *position* within the ordered support:
+    the first whose cumulative probability exceeds the uniform `u` in [0, 1)."""
     pos = int(np.add.accumulate(dist.probs).searchsorted(u, side="right"))
     return min(pos, dist.ids.size - 1)  # u beyond the last cumulative sum by drift

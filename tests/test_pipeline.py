@@ -4,6 +4,7 @@ import ast
 import copy
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moi import mix_core, pipeline
-from moi.experiments import GridSpec, TaskSpec, greedy_decode, run_grid
+from moi.experiments import (
+    GridSpec,
+    ResultsTable,
+    TaskSpec,
+    TrialRow,
+    best_of_n_gain,
+    greedy_decode,
+    run_grid,
+    throughput_bench,
+)
 from moi.mix_core import MODES, MixConfig, check_probs, entropy_of, feedback_weights, posterior_mix_weights
 from moi.pipeline import (
     GenConfig,
@@ -140,7 +150,7 @@ def assert_same_result(a, b):
 
 # the calls of one decode step; replay_verify may also call the weight rule,
 # which it recomputes from a trace with no step around it
-STEP_CALLS = ("sample_position", "feedback_weights", "mix", "_grow")
+STEP_CALLS = ("make_rng", "sample_position", "feedback_weights", "mix", "_grow")
 
 
 def test_one_function_runs_the_decode_step():
@@ -202,6 +212,22 @@ class TestIntegerInputs:
         with pytest.raises(TypeError, match="max_tokens must be an integer, not a bool"):
             run_grid(spec, out_path=tmp_path / "grid.csv")
         assert not list(tmp_path.iterdir())
+
+    def test_bool_run_counts_rejected(self, bench_model):
+        cfg = gen_cfg(max_tokens=2)
+        with pytest.raises(TypeError, match="runs must be an integer, not a bool"):
+            throughput_bench(bench_model, cfg, cfg, [(1, 2)], 2, runs=True)
+
+    def test_bool_jobs_rejected(self, bench_model, tmp_path):
+        spec = GridSpec(task=TaskSpec(model=bench_model, prompts=[(1, 2)], budget=2), seeds=(0,))
+        with pytest.raises(TypeError, match="jobs must be an integer, not a bool"):
+            run_grid(spec, out_path=tmp_path / "grid.csv", jobs=True)
+        assert not list(tmp_path.iterdir())
+
+    def test_bool_max_n_rejected(self):
+        table = ResultsTable(rows=[TrialRow("moi", 1.0, 0.95, 0.6, 0, 0.5)])
+        with pytest.raises(TypeError, match="max_n must be an integer, not a bool"):
+            best_of_n_gain(table, "beta", True)
 
     def test_numpy_integers_accepted(self, bench_model):
         assert check_prompt(bench_model, [np.int64(1), np.uint8(2)]) == [1, 2]
@@ -444,6 +470,24 @@ class TestTraceIO:
             with pytest.raises(ValueError, match="step 4"):
                 write_trace(GenerationResult([1], [rec(step=3), bad], 0.0, 0.0, 1), path)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(support=np.array([1, 1])), "duplicate support ids"),
+            (dict(probs=np.array([0.1, 0.2])), "probs: probabilities sum to 0.30000000000000004"),
+        ],
+        ids=["duplicate-ids", "probs-sum"],
+    )
+    def test_record_read_trace_refuses_is_not_written(self, tmp_path, fields, message):
+        good = StepRecord(step=3, token=1, entropy=0.5, support=np.array([0, 1]), probs=np.array([0.5, 0.5]),
+                          weights=np.array([0.5, 0.5]), mode="direct_mixture")
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match=f"^step 4: {message}"):
+            write_trace(GenerationResult([1, 1], [good, replace(good, step=4, **fields)], 0.0, 0.0, 2), path)
+        # the line before the refused record is kept, and reads back
+        (back,) = read_trace(path)
+        assert records_sha256([back]) == records_sha256([good])
+
     def test_stdlib_json_interoperates_bit_exactly(self, bench_model, tmp_path):
         cfg = GenConfig(mix=MixConfig("moi", 1.0), sampler=SamplerConfig(1.0, 1.0, seed=4), max_tokens=12)
         records = generate(bench_model, list(b"hi"), cfg).records
@@ -607,15 +651,22 @@ class TestReplayVerify:
     @settings(deadline=None, max_examples=300)
     @given(rec=step_records())
     def test_replay_refuses_exactly_what_read_trace_refuses(self, tmp_path_factory, rec):
-        # one rule set: replay of the record raises exactly when reading
-        # the line write_trace made of it does
+        # one rule set: writing the record and replaying it raise exactly
+        # when reading its line does
         path = tmp_path_factory.getbasetemp() / "agree.jsonl"
-        write_trace(GenerationResult([], [rec], 0.0, 0.0, 1), path)
+        path.write_bytes(pipeline._record_to_json(rec))
         try:
             read_trace(path)
             refused = False
         except TraceFormatError:
             refused = True
+        try:
+            write_trace(GenerationResult([], [rec], 0.0, 0.0, 1), path)
+            written = True
+        except TraceFormatError:
+            written = False
+        assert written != refused
+        assert records_sha256(read_trace(path)) == records_sha256([rec] if written else [])
         known = rec.mode in MODES
         cfg = gen_cfg(mode=rec.mode if known else "moi")
         vocab = max([1, rec.token, *rec.support.tolist()]) + 1
