@@ -250,11 +250,14 @@ def run_grid(
     Rows are produced in the fixed configs() x seeds order regardless of
     `jobs`, so reruns of the same spec write byte-identical CSVs.  With
     `jobs` > 1 each worker process loads the model; this process does not.
+    `jobs` below 1 raises ValueError before the CSV opens.
     A failing trial records score NaN ("error" in the CSV), its error goes
     to the table's `errors`, and the grid continues.
     """
     if isinstance(jobs, bool):
         raise TypeError("jobs must be an integer, not a bool")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     trials = [
         (ci, ri, config, seed)
         for ci, config in enumerate(spec.configs())

@@ -19,7 +19,9 @@ rows instead of running the forward and the sampler's softmax and top-p.
 One loop decodes: `generate` runs it on one row, and `fill_trees` on the
 Prefills of one prompt length at once, one batched forward a position
 (byte-identical to one row at a time), so the `generate` calls that
-follow only walk their trees.
+follow only walk their trees.  The sampler runs where the forward
+returns: in its 1-D form on a lone row, in one (B, V) pass on a batched
+step.  Decodes that share a config (a grid trial's) draw its uniforms once.
 
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
@@ -29,6 +31,7 @@ check is portable and exact at 1e-9.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
@@ -48,6 +51,7 @@ from .sampler import (
     make_rng,
     sample_position,
     top_p_truncate,
+    truncate_rows,
 )
 from .toy_lm import DecoderState, Model
 
@@ -58,6 +62,9 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GenConfig:
+    """A decode's settings: feedback rule, sampler, token budget and stop
+    tokens.  `draws` holds its uniforms, drawn once per config."""
+
     mix: MixConfig = field(default_factory=MixConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     max_tokens: int = 64
@@ -71,6 +78,14 @@ class GenConfig:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         object.__setattr__(self, "stop_tokens", frozenset(map(mix_core.token_id, self.stop_tokens)))
+
+    @functools.cached_property
+    def draws(self) -> np.ndarray:
+        """Read-only uniforms, drawn on first use: step k of every decode
+        with this config takes the k-th float64 of PCG64(seed)."""
+        draws = make_rng(self.sampler.seed).random(self.max_tokens)
+        draws.flags.writeable = False
+        return draws
 
 
 @dataclass(frozen=True)
@@ -124,17 +139,16 @@ class ReplayReport:
 class _Node:
     """One decoded position of a Prefill's tree: the K/V rows the forward
     wrote for it, (2, layers, heads, head_dim), None at the root; the
-    truncated distribution and entropy of the logits it returned; and its
-    children by the token fed next."""
+    truncated distribution and entropy of the logits it returned, which
+    the decode loop computed; and its children by the token fed next."""
 
     __slots__ = ("rows", "dist", "entropy", "children")
 
-    def __init__(self, rows, logits: np.ndarray, temperature: float, top_p: float, vocab: int):
-        ids, probs = top_p_truncate(apply_temperature(logits, temperature), top_p)
+    def __init__(self, rows, dist: TruncatedDistribution, entropy: float):
         self.rows = rows
-        # a trimmed copy: a view would keep the whole 256-entry argsort alive
-        self.dist = TruncatedDistribution(ids.copy(), probs)
-        self.entropy = mix_core.entropy_of(probs, vocab)
+        # a trimmed copy: a view would keep the whole argsort alive
+        self.dist = TruncatedDistribution(dist.ids.copy(), dist.probs)
+        self.entropy = entropy
         self.children: dict[int, _Node] = {}
 
 
@@ -165,8 +179,8 @@ class Prefill:
     fed, and the truncated distribution and entropy of the logits it
     returned.  A generation whose tokens follow the tree copies those rows
     into its fork and takes the distribution without running the forward
-    or the sampler's softmax and top-p; at its first new token it runs the
-    forward and adds the child.  The tree holds one key at a time: a
+    or the sampler's softmax and top-p; at its first new token the decode
+    loop runs both and adds the child.  The tree holds one key at a time: a
     generation with other settings replaces it.  It stops adding nodes at
     `model.config.context` positions, so it holds at most the K/V of one
     full-context state.  Generations change the tree, so a Prefill is not
@@ -181,28 +195,26 @@ class Prefill:
     def _root(self, cfg: GenConfig) -> _Node:
         """The tree's root for `cfg`'s key; a new tree if the key changed."""
         tree = self._tree
-        temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
-        key = (cfg.mix.mode, cfg.mix.beta, temperature, top_p)
+        key = (cfg.mix.mode, cfg.mix.beta, cfg.sampler.temperature, cfg.sampler.top_p)
         if key != tree.key:
             # the root first: if its softmax raises, the old key keeps its own root
-            tree.root = _Node(None, self.logits, temperature, top_p, self.model.config.vocab)
+            tree.root = _Node(None, *_truncated(self.logits, cfg.sampler, self.model.config.vocab))
             tree.key, tree.size = key, 0
         return tree.root
 
-    def _grow(self, parent: _Node, token: int, state: DecoderState, logits: np.ndarray) -> _Node | None:
+    def _grow(self, parent: _Node, token: int, state: DecoderState, dist, entropy: float) -> _Node | None:
         """Add the child for `token` under `parent`: the K and V rows the
-        forward just wrote at `state`'s last position and the `logits` it
-        returned.  None, adding nothing, once the tree holds a full context."""
+        forward just wrote at `state`'s last position, and the truncated
+        distribution and entropy of the logits it returned.  None, adding
+        nothing, once the tree holds a full context."""
         tree = self._tree
-        config = self.model.config
-        if tree.size >= config.context:
+        if tree.size >= self.model.config.context:
             return None
-        _, _, temperature, top_p = tree.key
         k_row, v_row = state.k_cache[:, :, state.length - 1], state.v_cache[:, :, state.length - 1]
         rows = np.empty((2, *k_row.shape))
         rows[0] = k_row
         rows[1] = v_row
-        child = parent.children[token] = _Node(rows, logits, temperature, top_p, config.vocab)
+        child = parent.children[token] = _Node(rows, dist, entropy)
         tree.size += 1
         return child
 
@@ -278,7 +290,9 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     prefill_seconds = time.perf_counter() - t0
     t1 = time.perf_counter()
     records: list[StepRecord] = []
-    _decode(model, cfg, [_Row(state, prefix, None if prefix is None else prefix._root(cfg), logits, records)])
+    root = None if prefix is None else prefix._root(cfg)
+    out = _truncated(logits, cfg.sampler, model.config.vocab) if root is None else (root.dist, root.entropy)
+    _decode(model, cfg, [_Row(state, prefix, root, *out, records)])
     decode_seconds = time.perf_counter() - t1
     return GenerationResult([rec.token for rec in records], records, prefill_seconds, decode_seconds, len(prompt))
 
@@ -304,89 +318,95 @@ def fill_trees(prefixes, cfg: GenConfig) -> None:
         for i in range(calls):
             part = group[i::calls]
             states = [start_state(p.model, list(p.prompt), cfg.max_tokens, p)[0] for p in part]
-            _decode(part[0].model, cfg, [_Row(s, p, p._root(cfg), None) for s, p in zip(states, part)])
+            roots = [p._root(cfg) for p in part]
+            _decode(part[0].model, cfg, [_Row(s, p, r, r.dist, r.entropy) for s, p, r in zip(states, part, roots)])
+
+
+def _truncated(logits: np.ndarray, sampler: SamplerConfig, vocab: int) -> tuple[TruncatedDistribution, float]:
+    """The 1-D sampler: one row's truncated distribution and its entropy."""
+    dist = top_p_truncate(apply_temperature(logits, sampler.temperature), sampler.top_p)
+    return dist, mix_core.entropy_of(dist.probs, vocab)
 
 
 @dataclass(slots=True, eq=False)
 class _Row:
     """A sequence `_decode` steps with its own `state`: it samples from
-    `node`, else from `logits` (no Prefill, or its path left a full tree),
-    and feeds `token`; a fill row has no `records`."""
+    `dist` with its `entropy` (its `node`'s while on a Prefill's tree) and
+    feeds `token`; a fill row has no `records`."""
 
     state: DecoderState
     prefix: Prefill | None
     node: _Node | None
-    logits: np.ndarray | None
+    dist: TruncatedDistribution
+    entropy: float
     records: list[StepRecord] | None = None
     token: int = -1
 
 
 def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
     """The decode loop: step `rows`, all at one position, in lockstep for
-    `cfg`; step k of every row takes the k-th draw of the seed's stream.  A
-    row samples, keeps its record, then ends, walks to its node's child or
-    feeds a vector.  One fed row runs `model.forward_step`, more one
-    `kernels.decode_rows` over a stack of their caches, whose new position
-    is written back to each state; each result grows the row's tree."""
+    `cfg`; step k of every row takes `cfg.draws[k]`.  A row samples, keeps
+    its record, then ends, walks to its node's child or feeds a vector
+    (weights only for a record or a mixture).  One fed row runs
+    `model.forward_step` and the 1-D sampler, more one `kernels.decode_rows`
+    over a stack of their caches, whose new position is written back to
+    each state, and `truncate_rows`; each result grows the row's tree."""
     table, vocab = model.embedding_table, model.config.vocab
-    temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
     mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
-    last = cfg.max_tokens - 1
-    draws = make_rng(cfg.sampler.seed).random(cfg.max_tokens)
+    temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
+    last, draws = cfg.max_tokens - 1, cfg.draws
     live = rows
     # a fill row records nothing, so it does not sample the last token, which is never fed
     for step in range(cfg.max_tokens if rows[0].records is not None else last):
         going, feeding, fed = [], [], []
         for row in live:
-            node = row.node
-            if node is None:
-                trunc = top_p_truncate(apply_temperature(row.logits, temperature), top_p)
-                entropy = mix_core.entropy_of(trunc.probs, vocab)
-            else:
-                trunc, entropy = node.dist, node.entropy
-            ids, probs = trunc
-            pos = sample_position(trunc, draws[step])
+            node, dist, entropy = row.node, row.dist, row.entropy
+            ids, probs = dist
+            pos = sample_position(dist, draws[step])
             token = int(ids[pos])
             stop = token in stop_tokens
             applied_mode = "standard" if stop else mode
-            weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, beta)
+            ends = stop or step == last
+            child = None if ends or node is None else node.children.get(token)
+            mixes = not ends and child is None and applied_mode != "standard"
+            if row.records is not None or mixes:
+                weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, beta)
             if row.records is not None:
                 # a record holds none of the tree's arrays
                 kept = probs if node is None else probs.copy()
                 row.records.append(StepRecord(step, token, entropy, ids.copy(), kept, weights, applied_mode))
-            if stop or step == last:
+            if ends:
                 continue
             going.append(row)
-            child = None if node is None else node.children.get(token)
             if child is not None:
                 state = row.state
                 state.k_cache[:, :, state.length] = child.rows[0]
                 state.v_cache[:, :, state.length] = child.rows[1]
                 state.length += 1
-                row.node = child
+                row.node, row.dist, row.entropy = child, child.dist, child.entropy
                 continue
             row.token = token
-            fed.append(table.matrix[token] if applied_mode == "standard" else mix(table.matrix64, ids, weights))
+            fed.append(mix(table.matrix64, ids, weights) if mixes else table.matrix[token])
             feeding.append(row)
         live = going
         if len(feeding) == 1:
-            row = feeding[0]
-            row.logits = model.forward_step(row.state, fed[0])
+            outs = [_truncated(model.forward_step(feeding[0].state, fed[0]), cfg.sampler, vocab)]
         elif feeding:
             pos = feeding[0].state.length
-            k_rows = np.stack([row.state.k_cache for row in feeding])
-            v_rows = np.stack([row.state.v_cache for row in feeding])
+            k_rows = np.array([row.state.k_cache for row in feeding])
+            v_rows = np.array([row.state.v_cache for row in feeding])
             logits = kernels.decode_rows(np.array(fed, np.float64)[:, None], pos, model.kernel_params, k_rows, v_rows)
-            for row, k, v, row_logits in zip(feeding, k_rows, v_rows, logits):
+            outs = [(d, mix_core.entropy_of(d.probs, vocab)) for d in truncate_rows(logits, temperature, top_p)]
+            for row, k, v in zip(feeding, k_rows, v_rows):
                 row.state.k_cache[:, :, pos] = k[:, :, pos]
                 row.state.v_cache[:, :, pos] = v[:, :, pos]
                 row.state.length += 1
-                row.logits = row_logits
         else:
             continue
-        for row in feeding:
+        for row, (dist, entropy) in zip(feeding, outs):
+            row.dist, row.entropy = dist, entropy
             if row.node is not None:
-                row.node = row.prefix._grow(row.node, row.token, row.state, row.logits)
+                row.node = row.prefix._grow(row.node, row.token, row.state, dist, entropy)
                 if row.node is None and row.records is None:
                     live.remove(row)  # a fill row ends when its tree is full
 

@@ -215,6 +215,15 @@ class TestGrid:
         assert "1 failed trials" in capsys.readouterr().out
         assert out.read_text() == "mode,beta,top_p,temperature,seed,score\nmoi,1.0,0.9,0.7,0,error\n"
 
+    def test_zero_jobs_exits_1(self, model_file, tmp_path, capsys):
+        config = {"seeds": [0], "task": {"model": str(model_file), "prompts": ["ab"], "budget": 2}}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "r.csv"
+        assert cli.main(["grid", "--config", str(cfg_path), "--out", str(out), "--jobs", "0"]) == 1
+        assert "error: jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "r.csv.partial").exists()
+
     def test_external_scorer_rejected_from_json(self, model_file, tmp_path):
         config = {"task": {"kind": "external_scorer", "model": str(model_file), "prompts": ["ab"], "budget": 4}}
         cfg_path = tmp_path / "grid.json"

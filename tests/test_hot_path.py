@@ -240,6 +240,48 @@ def test_truncation_of_tied_distributions_is_byte_identical(probs, top_p):
     assert same_bytes(got.ids, want.ids) and same_bytes(got.probs, want.probs)
 
 
+# the row form's draws: B rows of V logits, each row either normal at a drawn
+# scale or drawn from a few integers, so that a row holds ties
+row_batches = st.tuples(st.integers(1, 32), st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(0.1, 30.0))
+row_temperatures = st.floats(0.05, 2.0)
+row_top_ps = st.sampled_from((0.4, 0.95, 1.0))
+
+
+def draw_rows(b, v, seed, scale):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, scale, (b, v))
+    tied = rng.random(b) < 0.5
+    logits[tied] = rng.integers(-3, 4, (int(tied.sum()), v))
+    return logits, rng
+
+
+@settings(deadline=None, max_examples=300)
+@given(batch=row_batches, temperature=row_temperatures, top_p=row_top_ps)
+def test_row_form_is_byte_identical_row_by_row(batch, temperature, top_p):
+    logits, _ = draw_rows(*batch)
+    got = sampler.truncate_rows(logits, temperature, top_p)
+    assert len(got) == logits.shape[0]
+    vocab = max(2, logits.shape[1])
+    for row, dist in zip(logits, got):
+        want = oracle_top_p_truncate(oracle_apply_temperature(row, temperature), top_p)
+        assert same_bytes(dist.ids, want.ids) and same_bytes(dist.probs, want.probs)
+        h, want_h = mix_core.entropy_of(dist.probs, vocab), oracle_entropy_of(want.probs, vocab)
+        assert np.float64(h).tobytes() == np.float64(want_h).tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(batch=row_batches, temperature=row_temperatures, top_p=row_top_ps,
+       bad=st.sampled_from((math.nan, math.inf, -math.inf)))
+def test_row_form_rejects_a_non_finite_logit_as_the_1d_form_does(batch, temperature, top_p, bad):
+    logits, rng = draw_rows(*batch)
+    i, j = rng.integers(logits.shape[0]), rng.integers(logits.shape[1])
+    logits[i, j] = bad
+    with pytest.raises(ValueError) as one:
+        sampler.apply_temperature(logits[i], temperature)
+    with pytest.raises(ValueError, match=f"^{one.value}$"):
+        sampler.truncate_rows(logits, temperature, top_p)
+
+
 @settings(deadline=None, max_examples=200)
 @given(data=st.data())
 def test_mix_is_byte_identical(default_model, data):

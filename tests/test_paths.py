@@ -467,15 +467,15 @@ class TestFilledTrials:
         for prompt, start, digest in zip(prompts, starts, fresh):
             assert records_sha256(generate(model, prompt, cfg, prefix=start).records) == digest
 
-    def test_a_trial_builds_one_stream_per_decode_call(self, bench_model, monkeypatch):
-        # 18 two-byte and 6 three-byte prompts: 2 fill calls and 24 generates
+    def test_a_trial_builds_one_stream(self, bench_model, monkeypatch):
+        # 18 two-byte and 6 three-byte prompts: 2 fill calls and 24 generates share one config's draws
         prompts = [(97, i) for i in range(18)] + [(1, 2, i) for i in range(6)]
         seeds = []
         real_rng = pipeline.make_rng
         monkeypatch.setattr(pipeline, "make_rng", lambda seed: seeds.append(seed) or real_rng(seed))
         cfg = gen_cfg({"mode": "moi", "beta": 1.0, "temperature": 0.6, "top_p": 0.95}, 9, 5)
         greedy_recovery_score(bench_model, cfg, prompts, 5)
-        assert seeds == [9] * 26
+        assert seeds == [9]
 
     def test_a_group_of_one_is_not_filled(self, bench_model, monkeypatch):
         monkeypatch.setattr(kernels, "decode_rows", lambda *a: pytest.fail("a lone prompt length was batched"))

@@ -150,14 +150,15 @@ def assert_same_result(a, b):
 
 # the calls of one decode step; replay_verify may also call the weight rule,
 # which it recomputes from a trace with no step around it
-STEP_CALLS = ("make_rng", "sample_position", "feedback_weights", "mix", "_grow")
+STEP_CALLS = ("sample_position", "feedback_weights", "mix", "_grow")
+# calls no module but pipeline makes, and there only the decode loop
+BATCH_CALLS = ("decode_rows", "truncate_rows")
 
 
-def test_one_function_runs_the_decode_step():
-    # a second step loop would call these from a second function
-    callers = {name: set() for name in STEP_CALLS}
-    source = Path(pipeline.__file__).read_text(encoding="utf-8")
-    for func in ast.walk(ast.parse(source)):
+def calls_by_function(path, names):
+    """{name: the functions in `path` that call it}."""
+    callers = {name: set() for name in names}
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if not isinstance(func, ast.FunctionDef):
             continue
         for node in ast.walk(func):
@@ -165,8 +166,28 @@ def test_one_function_runs_the_decode_step():
                 called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
                 if called in callers:
                     callers[called].add(func.name)
+    return callers
+
+
+def test_one_function_runs_the_decode_step():
+    # a second step loop would call these from a second function
+    callers = calls_by_function(Path(pipeline.__file__), STEP_CALLS + BATCH_CALLS + ("make_rng",))
     callers["feedback_weights"].discard("replay_verify")
-    assert callers == dict.fromkeys(STEP_CALLS, {"_decode"})
+    # one stream per config, shared by every decode that uses it
+    assert callers.pop("make_rng") == {"draws"}
+    assert callers == dict.fromkeys(STEP_CALLS + BATCH_CALLS, {"_decode"})
+    for path in Path(pipeline.__file__).parent.glob("*.py"):
+        if path.name != "pipeline.py":
+            assert calls_by_function(path, BATCH_CALLS) == dict.fromkeys(BATCH_CALLS, set()), path.name
+
+
+def test_a_config_draws_its_stream_once():
+    cfg = GenConfig(sampler=SamplerConfig(seed=12), max_tokens=7)
+    draws = cfg.draws
+    # token k takes the k-th float64 of PCG64(seed)
+    assert draws.tobytes() == np.random.Generator(np.random.PCG64(12)).random(7).tobytes()
+    assert cfg.draws is draws and not draws.flags.writeable
+    assert replace(cfg, max_tokens=3).draws.tobytes() == draws[:3].tobytes()
 
 
 class TestIntegerInputs:
@@ -222,6 +243,14 @@ class TestIntegerInputs:
         spec = GridSpec(task=TaskSpec(model=bench_model, prompts=[(1, 2)], budget=2), seeds=(0,))
         with pytest.raises(TypeError, match="jobs must be an integer, not a bool"):
             run_grid(spec, out_path=tmp_path / "grid.csv", jobs=True)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, bench_model, tmp_path, jobs):
+        # it once ran the grid serially without a word
+        spec = GridSpec(task=TaskSpec(model=bench_model, prompts=[(1, 2)], budget=2), seeds=(0,))
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_grid(spec, out_path=tmp_path / "grid.csv", jobs=jobs)
         assert not list(tmp_path.iterdir())
 
     def test_bool_max_n_rejected(self):
