@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .mix_core import MODES, MixConfig, token_id
-from .pipeline import GenConfig, Prefill, check_prompt, fill_trees, generate, prefill, start_state
+from .pipeline import GenConfig, Prefill, check_prompt, generate, prefetch, prefill, start_state
 from .sampler import SamplerConfig, check_seed
 from .toy_lm import Model, load_weights
 
@@ -173,8 +173,8 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     generation both start from that prefill.  `_ref_cache` ((prompt,
     budget, stop tokens) -> (reference, prefill)) carries both across
     calls with the same model, so a grid prefills each prompt once.  The
-    sampled generations run as a batch first (`pipeline.fill_trees`), and
-    each `generate` then walks its prefill's tree.
+    sampled generations run as a batch first (`pipeline.prefetch`), and
+    each `generate` then takes its prefill's result.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1: nothing to compare")
@@ -193,7 +193,7 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
                 _ref_cache[key] = entry
         entries.append(entry)
     # a prefix from another model is left to generate, which rejects it
-    fill_trees([start for _, start in entries if start.model is model], cfg)
+    prefetch([start for _, start in entries if start.model is model], cfg)
     matches = 0
     for prompt, (reference, start) in zip(prompts, entries):
         result = generate(model, prompt, cfg, prefix=start)

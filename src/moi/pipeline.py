@@ -11,15 +11,12 @@ Every decode (`generate`, `prefill`, `experiments.greedy_decode`) starts
 in `start_state`, the one place that checks a request against the model
 context (prompt + new tokens <= context, before any forward), sizes its
 state and runs the prompt.  `prefill` runs a prompt once, and
-`generate(..., prefix=...)` starts generations from copies of its state.
-Generations from one Prefill also share the positions they decoded: a
-tree keyed by token holds each position's K/V rows and next distribution,
-so a seed that samples an opening an earlier seed sampled copies those
-rows instead of running the forward and the sampler's softmax and top-p.
-One loop decodes: `generate` runs it on one row, and `fill_trees` on the
-Prefills of one prompt length at once, one batched forward a position
-(byte-identical to one row at a time), so the `generate` calls that
-follow only walk their trees.  The sampler runs where the forward
+`generate(..., prefix=...)` starts generations from copies of its state
+and from its first distribution, truncated once per (T, top_p).  One loop
+decodes: `generate` runs it on one row, and `prefetch` on the Prefills of
+one prompt length at once, one batched forward a position (byte-identical
+to one row at a time), leaving each Prefill the result that the
+`generate` call after it takes.  The sampler runs where the forward
 returns: in its 1-D form on a lone row, in one (B, V) pass on a batched
 step.  Decodes that share a config (a grid trial's) draw its uniforms once.
 
@@ -136,33 +133,6 @@ class ReplayReport:
         )
 
 
-class _Node:
-    """One decoded position of a Prefill's tree: the K/V rows the forward
-    wrote for it, (2, layers, heads, head_dim), None at the root; the
-    truncated distribution and entropy of the logits it returned, which
-    the decode loop computed; and its children by the token fed next."""
-
-    __slots__ = ("rows", "dist", "entropy", "children")
-
-    def __init__(self, rows, dist: TruncatedDistribution, entropy: float):
-        self.rows = rows
-        # a trimmed copy: a view would keep the whole argsort alive
-        self.dist = TruncatedDistribution(dist.ids.copy(), dist.probs)
-        self.entropy = entropy
-        self.children: dict[int, _Node] = {}
-
-
-class _Tree:
-    """The positions generations from one Prefill decoded, for one key."""
-
-    __slots__ = ("key", "root", "size")
-
-    def __init__(self):
-        self.key = None
-        self.root = None
-        self.size = 0
-
-
 @dataclass(frozen=True, eq=False)
 class Prefill:
     """A prompt already run through `model`: the decoder state after its
@@ -170,53 +140,28 @@ class Prefill:
     generated token.  Generations fork `state` and never write to it, so
     one Prefill can start any number of them.
 
-    They share decoded positions through a tree.  A generation's state
-    after its first k tokens depends only on the prompt, the key (mode,
-    beta, T, top_p) and those k tokens; seed, max_tokens and stop tokens
-    only choose a path, since a stop token is never fed back.  The root
-    holds the truncated distribution and entropy of `logits`; the child
-    for token t holds the K/V rows the forward wrote when t's feedback was
-    fed, and the truncated distribution and entropy of the logits it
-    returned.  A generation whose tokens follow the tree copies those rows
-    into its fork and takes the distribution without running the forward
-    or the sampler's softmax and top-p; at its first new token the decode
-    loop runs both and adds the child.  The tree holds one key at a time: a
-    generation with other settings replaces it.  It stops adding nodes at
-    `model.config.context` positions, so it holds at most the K/V of one
-    full-context state.  Generations change the tree, so a Prefill is not
-    to be shared between threads."""
+    It keeps the truncated distribution and entropy of `logits` for each
+    (T, top_p) used, and at most one result `prefetch` decoded for the next
+    `generate` with an equal config; so it is not to be shared by threads."""
 
     model: Model
     prompt: tuple
     state: DecoderState
     logits: np.ndarray
-    _tree: _Tree = field(default_factory=_Tree, init=False, repr=False)
+    _first: dict = field(default_factory=dict, init=False, repr=False)
+    _pending: dict = field(default_factory=dict, init=False, repr=False)
 
-    def _root(self, cfg: GenConfig) -> _Node:
-        """The tree's root for `cfg`'s key; a new tree if the key changed."""
-        tree = self._tree
-        key = (cfg.mix.mode, cfg.mix.beta, cfg.sampler.temperature, cfg.sampler.top_p)
-        if key != tree.key:
-            # the root first: if its softmax raises, the old key keeps its own root
-            tree.root = _Node(None, *_truncated(self.logits, cfg.sampler, self.model.config.vocab))
-            tree.key, tree.size = key, 0
-        return tree.root
-
-    def _grow(self, parent: _Node, token: int, state: DecoderState, dist, entropy: float) -> _Node | None:
-        """Add the child for `token` under `parent`: the K and V rows the
-        forward just wrote at `state`'s last position, and the truncated
-        distribution and entropy of the logits it returned.  None, adding
-        nothing, once the tree holds a full context."""
-        tree = self._tree
-        if tree.size >= self.model.config.context:
-            return None
-        k_row, v_row = state.k_cache[:, :, state.length - 1], state.v_cache[:, :, state.length - 1]
-        rows = np.empty((2, *k_row.shape))
-        rows[0] = k_row
-        rows[1] = v_row
-        child = parent.children[token] = _Node(rows, dist, entropy)
-        tree.size += 1
-        return child
+    def _first_token(self, sampler: SamplerConfig) -> tuple[TruncatedDistribution, float]:
+        """The truncated distribution and entropy of `logits` at `sampler`'s
+        T and top_p, computed once per pair; the probs are the caller's copy."""
+        key = (sampler.temperature, sampler.top_p)
+        first = self._first.get(key)
+        if first is None:
+            dist, entropy = _truncated(self.logits, sampler, self.model.config.vocab)
+            # trimmed ids: a view would keep the whole argsort alive
+            first = self._first[key] = (TruncatedDistribution(dist.ids.copy(), dist.probs), entropy)
+        (ids, probs), entropy = first
+        return TruncatedDistribution(ids, probs.copy()), entropy
 
 
 def check_prompt(model: Model, prompt) -> list[int]:
@@ -259,11 +204,16 @@ def start_state(model: Model, prompt: list[int], new_tokens: int, prefix: Prefil
         for token in prompt:
             logits = model.forward_step(state, lookup(model.embedding_table, token))
         return state, logits
+    _check_prefix(model, prompt, prefix)
+    return prefix.state.fork(capacity), prefix.logits
+
+
+def _check_prefix(model: Model, prompt: list[int], prefix: Prefill) -> None:
+    """ValueError unless `prefix` was prefilled by `model` for `prompt`."""
     if prefix.model is not model:
         raise ValueError("prefix was prefilled by another model")
     if prefix.prompt != tuple(prompt):
         raise ValueError(f"prefix was prefilled for prompt {list(prefix.prompt)}, not {prompt}")
-    return prefix.state.fork(capacity), prefix.logits
 
 
 def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None) -> GenerationResult:
@@ -276,50 +226,58 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     one-hot weights, but never fed back.
 
     `prefix`, from `prefill(model, prompt)`, skips running the prompt: the
-    loop starts from a fork of its state and its logits, and while its
-    tokens follow the prefix's tree (see `Prefill`) it takes each
-    position from there, with the same result as without it.  A request
-    beyond the model context (see `start_state`), or a prefix made by
-    another model object or for another prompt, raises ValueError.
-    `prefill_seconds` covers the allocation and the prompt run, or the
-    fork; steps served from the tree count in `decode_seconds`.
+    loop starts from a fork of its state and its first distribution, with
+    the same result as without it.  A request beyond the model context
+    (see `start_state`), or a prefix made by another model object or for
+    another prompt, raises ValueError.  A result `prefetch` left with the
+    prefix for a config equal to `cfg` is returned, once, with no decode;
+    its times are its batch's, split evenly over the rows.  Otherwise
+    `prefill_seconds` covers the allocation and the prompt run, or the fork.
     """
     prompt = check_prompt(model, prompt)
+    if prefix is not None:
+        _check_prefix(model, prompt, prefix)
+        result = prefix._pending.pop(cfg, None)
+        if result is not None:
+            return result
     t0 = time.perf_counter()
     state, logits = start_state(model, prompt, cfg.max_tokens, prefix)
-    prefill_seconds = time.perf_counter() - t0
     t1 = time.perf_counter()
+    first = _truncated(logits, cfg.sampler, model.config.vocab) if prefix is None else prefix._first_token(cfg.sampler)
     records: list[StepRecord] = []
-    root = None if prefix is None else prefix._root(cfg)
-    out = _truncated(logits, cfg.sampler, model.config.vocab) if root is None else (root.dist, root.entropy)
-    _decode(model, cfg, [_Row(state, prefix, root, *out, records)])
-    decode_seconds = time.perf_counter() - t1
-    return GenerationResult([rec.token for rec in records], records, prefill_seconds, decode_seconds, len(prompt))
+    _decode(model, cfg, [_Row(state, *first, records)])
+    return GenerationResult([rec.token for rec in records], records, t1 - t0, time.perf_counter() - t1, len(prompt))
 
 
-# rows per `fill_trees` call to `_decode`: bounds the caches it stacks a step
+# rows per `prefetch` call to `_decode`: bounds the caches it stacks a step
 FILL_ROWS = 32
 
 
-def fill_trees(prefixes, cfg: GenConfig) -> None:
-    """Grow the tree of each distinct Prefill in `prefixes` along the path
-    `generate(model, prompt, cfg, prefix=p)` takes, which then runs no
-    forward.  Prefills of one model and prompt length run `generate`'s loop
-    as the rows of a batch, split evenly into calls of at most FILL_ROWS.
-    A row starts as `generate` does, from `start_state`, keeps no records,
-    and ends at a stop token, at its last fed token or when its tree is
-    full.  A group of one Prefill is left to `generate`.  The Prefills'
-    states are only read."""
+def prefetch(prefixes, cfg: GenConfig) -> None:
+    """Decode, for each distinct Prefill p in `prefixes`, the result of
+    `generate(p.model, p.prompt, cfg, prefix=p)` and leave it with p for
+    that call to take; it replaces any result p held.  Prefills of one
+    model and prompt length are the rows of one decode loop, split evenly
+    into calls of at most FILL_ROWS; a group of one is left to `generate`.
+    A result's `prefill_seconds` and `decode_seconds` are its call's times
+    divided by the call's rows.  The Prefills' states are only read."""
     groups: dict = {}
     for p in dict.fromkeys(prefixes):
+        p._pending.clear()
         groups.setdefault((id(p.model), len(p.prompt)), []).append(p)
     for group in groups.values():
         calls = -(-len(group) // FILL_ROWS) if len(group) > 1 else 0
         for i in range(calls):
             part = group[i::calls]
+            t0 = time.perf_counter()
             states = [start_state(p.model, list(p.prompt), cfg.max_tokens, p)[0] for p in part]
-            roots = [p._root(cfg) for p in part]
-            _decode(part[0].model, cfg, [_Row(s, p, r, r.dist, r.entropy) for s, p, r in zip(states, part, roots)])
+            t1 = time.perf_counter()
+            rows = [_Row(state, *p._first_token(cfg.sampler), []) for state, p in zip(states, part)]
+            _decode(part[0].model, cfg, rows)
+            seconds = (t1 - t0) / len(part), (time.perf_counter() - t1) / len(part)
+            for p, row in zip(part, rows):
+                tokens = [rec.token for rec in row.records]
+                p._pending[cfg] = GenerationResult(tokens, row.records, *seconds, len(p.prompt))
 
 
 def _truncated(logits: np.ndarray, sampler: SamplerConfig, vocab: int) -> tuple[TruncatedDistribution, float]:
@@ -330,65 +288,41 @@ def _truncated(logits: np.ndarray, sampler: SamplerConfig, vocab: int) -> tuple[
 
 @dataclass(slots=True, eq=False)
 class _Row:
-    """A sequence `_decode` steps with its own `state`: it samples from
-    `dist` with its `entropy` (its `node`'s while on a Prefill's tree) and
-    feeds `token`; a fill row has no `records`."""
+    """A generation `_decode` steps with its own `state`: it samples from
+    `dist`, whose entropy is `entropy`, and appends to `records`."""
 
     state: DecoderState
-    prefix: Prefill | None
-    node: _Node | None
     dist: TruncatedDistribution
     entropy: float
-    records: list[StepRecord] | None = None
-    token: int = -1
+    records: list[StepRecord]
 
 
 def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
     """The decode loop: step `rows`, all at one position, in lockstep for
-    `cfg`; step k of every row takes `cfg.draws[k]`.  A row samples, keeps
-    its record, then ends, walks to its node's child or feeds a vector
-    (weights only for a record or a mixture).  One fed row runs
+    `cfg`; step k of every row takes `cfg.draws[k]`.  A row samples,
+    weights and records, then ends or feeds a vector.  One fed row runs
     `model.forward_step` and the 1-D sampler, more one `kernels.decode_rows`
     over a stack of their caches, whose new position is written back to
-    each state, and `truncate_rows`; each result grows the row's tree."""
+    each state, and `truncate_rows`."""
     table, vocab = model.embedding_table, model.config.vocab
     mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
     temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
     last, draws = cfg.max_tokens - 1, cfg.draws
-    live = rows
-    # a fill row records nothing, so it does not sample the last token, which is never fed
-    for step in range(cfg.max_tokens if rows[0].records is not None else last):
-        going, feeding, fed = [], [], []
+    feeding = rows
+    for step in range(cfg.max_tokens):
+        live, feeding, fed = feeding, [], []
         for row in live:
-            node, dist, entropy = row.node, row.dist, row.entropy
-            ids, probs = dist
+            ids, probs = dist = row.dist
             pos = sample_position(dist, draws[step])
             token = int(ids[pos])
             stop = token in stop_tokens
             applied_mode = "standard" if stop else mode
-            ends = stop or step == last
-            child = None if ends or node is None else node.children.get(token)
-            mixes = not ends and child is None and applied_mode != "standard"
-            if row.records is not None or mixes:
-                weights = mix_core.feedback_weights(applied_mode, probs, pos, entropy, beta)
-            if row.records is not None:
-                # a record holds none of the tree's arrays
-                kept = probs if node is None else probs.copy()
-                row.records.append(StepRecord(step, token, entropy, ids.copy(), kept, weights, applied_mode))
-            if ends:
+            weights = mix_core.feedback_weights(applied_mode, probs, pos, row.entropy, beta)
+            row.records.append(StepRecord(step, token, row.entropy, ids.copy(), probs, weights, applied_mode))
+            if stop or step == last:
                 continue
-            going.append(row)
-            if child is not None:
-                state = row.state
-                state.k_cache[:, :, state.length] = child.rows[0]
-                state.v_cache[:, :, state.length] = child.rows[1]
-                state.length += 1
-                row.node, row.dist, row.entropy = child, child.dist, child.entropy
-                continue
-            row.token = token
-            fed.append(mix(table.matrix64, ids, weights) if mixes else table.matrix[token])
+            fed.append(table.matrix[token] if applied_mode == "standard" else mix(table.matrix64, ids, weights))
             feeding.append(row)
-        live = going
         if len(feeding) == 1:
             outs = [_truncated(model.forward_step(feeding[0].state, fed[0]), cfg.sampler, vocab)]
         elif feeding:
@@ -402,13 +336,9 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
                 row.state.v_cache[:, :, pos] = v[:, :, pos]
                 row.state.length += 1
         else:
-            continue
+            return
         for row, (dist, entropy) in zip(feeding, outs):
             row.dist, row.entropy = dist, entropy
-            if row.node is not None:
-                row.node = row.prefix._grow(row.node, row.token, row.state, dist, entropy)
-                if row.node is None and row.records is None:
-                    live.remove(row)  # a fill row ends when its tree is full
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mix_core import check_probs
+from .mix_core import _SUM_TOL, check_probs
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,9 @@ def top_p_truncate(probs: np.ndarray, top_p: float) -> TruncatedDistribution:
 def truncate_rows(logits: np.ndarray, temperature: float, top_p: float) -> list[TruncatedDistribution]:
     """`top_p_truncate(apply_temperature(z, temperature), top_p)` for each
     row z of the (B, V) `logits`, byte for byte and with the same errors.
-    Only the checks, the zero-tail trim and the renormalization run per
-    row: a padded pairwise sum would change each total's bytes."""
+    Only the zero-tail trim and the renormalization run per row, since a
+    padded pairwise sum would change each total's bytes; the checks do only
+    when a row fails them (`_check_rows`)."""
     if not (0.0 < temperature < math.inf):
         raise ValueError(f"temperature must be finite and positive, got {temperature}")
     if not (0.0 < top_p <= 1.0):
@@ -127,8 +128,7 @@ def truncate_rows(logits: np.ndarray, temperature: float, top_p: float) -> list[
     e -= top / temperature
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
-    for row in e:
-        check_probs(row)
+    _check_rows(e)
     b, v = e.shape
     order = np.negative(e).argsort(axis=1, kind="stable")
     # a flat take: row i's entries start at i * v
@@ -141,6 +141,16 @@ def truncate_rows(logits: np.ndarray, temperature: float, top_p: float) -> list[
         kept = row[:keep]
         dists.append(TruncatedDistribution(ids[:keep], kept / np.add.reduce(kept)))
     return dists
+
+
+def _check_rows(probs: np.ndarray) -> None:
+    """`check_probs` on each (B, V) row: one pass when all pass (the row sums
+    are the 1-D sums' bytes), else row by row, so a bad row raises its text."""
+    sums = np.add.reduce(probs, axis=1)
+    # a NaN fails both comparisons
+    if not (np.minimum.reduce(probs, axis=None) >= 0.0 and np.maximum.reduce(np.abs(sums - 1.0)) <= _SUM_TOL):
+        for row in probs:
+            check_probs(row)
 
 
 def sample_position(dist: TruncatedDistribution, u: float) -> int:

@@ -9,6 +9,7 @@ a token, a record or a trace.
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,58 @@ def test_row_form_rejects_a_non_finite_logit_as_the_1d_form_does(batch, temperat
         sampler.apply_temperature(logits[i], temperature)
     with pytest.raises(ValueError, match=f"^{one.value}$"):
         sampler.truncate_rows(logits, temperature, top_p)
+
+
+def softmax_rows(logits, temperature):
+    return np.array([oracle_apply_temperature(row, temperature) for row in logits])
+
+
+@settings(deadline=None, max_examples=200)
+@given(batch=row_batches, temperature=row_temperatures)
+def test_row_sums_are_the_1d_sums(batch, temperature):
+    """The one-pass accept reads the (B, V) row sums: each must be the bytes
+    `check_probs` sums alone, and a batch that passes checks no row alone."""
+    e = softmax_rows(draw_rows(*batch)[0], temperature)
+    sums = np.add.reduce(e, axis=1)
+    assert sums.tobytes() == np.array([np.add.reduce(row) for row in e]).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "check_probs", lambda p: pytest.fail("a passing batch was checked row by row"))
+        sampler._check_rows(e)
+
+
+@settings(deadline=None, max_examples=100)
+@given(batch=row_batches, temperature=row_temperatures, top_p=row_top_ps,
+       bad=st.sampled_from(("nan", "negative", "overflow", "unnormalized")))
+def test_a_bad_row_raises_the_1d_message(batch, temperature, top_p, bad):
+    logits, rng = draw_rows(*batch)
+    e = softmax_rows(logits, temperature)
+    i, j = rng.integers(e.shape[0]), rng.integers(e.shape[1])
+    if bad == "nan":
+        e[i, j] = math.nan
+    elif bad == "negative":
+        e[i, j] = -0.25
+    elif bad == "overflow":
+        e[i] = 1e308  # finite entries whose sum overflows (V >= 2)
+    else:
+        e[i] *= 1.0 + 1e-6
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as one:
+        sampler.top_p_truncate(e[i], top_p)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+        sampler._check_rows(e)
+
+
+@settings(deadline=None, max_examples=50)
+@given(batch=row_batches, temperature=st.floats(0.05, 0.8), top_p=row_top_ps)
+def test_row_form_rejects_an_overflowing_softmax_as_the_1d_form_does(batch, temperature, top_p):
+    # finite logits: 1.5e308 / T overflows, so the row's softmax is NaN
+    logits, rng = draw_rows(*batch)
+    i = rng.integers(logits.shape[0])
+    logits[i, rng.integers(logits.shape[1])] = 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as one:
+            sampler.top_p_truncate(sampler.apply_temperature(logits[i], temperature), top_p)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+            sampler.truncate_rows(logits, temperature, top_p)
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,19 +1,21 @@
 """Equivalence of decode paths: every route to a generation gives the same
 records, byte for byte.
 
-The first path pinned here is the Prefill's tree of decoded positions: a
-sequence of generations from one Prefill, with settings that change along
-the way, must each equal a fresh `generate` without a prefix.  On drawn
-models, settings and budgets, a generation from a prefix must equal a
-fresh one, and a written trace must read back to the same records and
-replay with deviations of exactly 0.0.
+The first path pinned here is a Prefill's reuse: a sequence of generations
+from one Prefill, with settings that change along the way, must each equal
+a fresh `generate` without a prefix, though they share its state and its
+first distribution.  On drawn models, settings and budgets, a generation
+from a prefix must equal a fresh one, and a written trace must read back to
+the same records and replay with deviations of exactly 0.0.
 
 The batched path: `kernels.decode_rows` must give every row the bytes
 `kernels.decode_step` gives it alone, whatever rows share its batch, and a
-grid trial whose trees `fill_trees` grew in batches must score, write and
-record exactly what plain `generate` calls do.  The drawn invariants also
-cover a request-sized state against a full-context one, `greedy_decode`
-with and without a prefix, and the moi weight bounds.
+grid trial whose generations `prefetch` decoded in batches must score,
+write and record exactly what plain `generate` calls do.  A prefetched
+result goes only to a `generate` with an equal config, and only once, and
+a grid leaves none behind.  The drawn invariants also cover a request-sized
+state against a full-context one, `greedy_decode` with and without a
+prefix, and the moi weight bounds.
 """
 
 import collections
@@ -33,8 +35,8 @@ from moi.mix_core import MixConfig
 from moi.pipeline import (
     GenConfig,
     Prefill,
-    fill_trees,
     generate,
+    prefetch,
     prefill,
     read_trace,
     replay_verify,
@@ -58,7 +60,7 @@ CHOICES = {
 
 @pytest.fixture(scope="module")
 def model12() -> Model:
-    """Context 12: a few generations fill a Prefill's tree."""
+    """Context 12: a three-token prompt leaves room for 9 new tokens."""
     return init_random(ModelConfig(vocab=48, dim=32, heads=4, layers=2, context=12, init_seed=5))
 
 
@@ -98,7 +100,7 @@ def assert_each_equals_fresh(model: Model, prompt: list[int], runs: list[GenConf
         assert records_sha256(shared.records) == records_sha256(fresh.records)
 
 
-class TestPrefillTree:
+class TestPrefillReuse:
     @settings(deadline=None, max_examples=60)
     @given(runs=generation_sequences(vocab=256, max_new=8), prompt=st.sampled_from((b"ab", b"the", b"q")))
     def test_generations_equal_fresh_ones(self, bench_model, runs, prompt):
@@ -110,47 +112,25 @@ class TestPrefillTree:
         # prompt 3 + 9 new tokens fill the context of 12
         assert_each_equals_fresh(model12, [1, 2, 3], runs)
 
-    def test_tree_stops_at_the_context(self, model12):
-        prompt = [1, 2, 3]
-        start = prefill(model12, prompt)
-        key = {"mode": "moi", "beta": 1.0, "temperature": 1.5, "top_p": 1.0}
-        for seed in range(12):
-            cfg = gen_cfg(key, seed, 9)
-            shared = generate(model12, prompt, cfg, prefix=start)
-            assert records_sha256(shared.records) == records_sha256(generate(model12, prompt, cfg).records)
-        assert start._tree.size == model12.config.context
-
-    def test_repeated_generation_runs_no_forward_and_no_sampler_softmax(self, bench_model, monkeypatch):
-        prompt = list(b"ab")
-        start = prefill(bench_model, prompt)
-        key = {"mode": "moi", "beta": 1.0, "temperature": 0.6, "top_p": 0.95}
-        cfg = gen_cfg(key, 3, 12)
-        first = generate(bench_model, prompt, cfg, prefix=start)
-        calls = []
-        real_forward, real_softmax = Model.forward_step, pipeline.apply_temperature
-        monkeypatch.setattr(Model, "forward_step", lambda m, s, x: calls.append("forward") or real_forward(m, s, x))
-        monkeypatch.setattr(pipeline, "apply_temperature", lambda z, t: calls.append("softmax") or real_softmax(z, t))
-        again = generate(bench_model, prompt, cfg, prefix=start)
-        assert calls == []
-        assert records_sha256(again.records) == records_sha256(first.records)
-        # other settings replace the tree, and the forward runs again
-        generate(bench_model, prompt, gen_cfg(dict(key, beta=2.0), 3, 12), prefix=start)
-        assert calls.count("forward") == 11
-
-    def test_records_do_not_share_the_tree_arrays(self, bench_model):
-        prompt = list(b"ab")
-        start = prefill(bench_model, prompt)
+    def test_records_do_not_share_the_cached_arrays(self, bench_model):
+        prompts = [list(b"ab"), list(b"cd")]
+        starts = [prefill(bench_model, p) for p in prompts]
         cfg = gen_cfg({"mode": "direct_mixture", "beta": 1.0, "temperature": 0.6, "top_p": 0.95}, 1, 6)
-        first = generate(bench_model, prompt, cfg, prefix=start)
-        digest = records_sha256(first.records)
-        for rec in first.records:
-            for arr in (rec.support, rec.probs, rec.weights):
-                arr[...] = 0
-        assert records_sha256(generate(bench_model, prompt, cfg, prefix=start).records) == digest
+        for prefetched in (False, True):
+            digests = []
+            for _ in range(2):
+                if prefetched:
+                    prefetch(starts, cfg)
+                result = generate(bench_model, prompts[0], cfg, prefix=starts[0])
+                digests.append(records_sha256(result.records))
+                for rec in result.records:
+                    for arr in (rec.support, rec.probs, rec.weights):
+                        arr[...] = 0
+            assert digests[1] == digests[0] == records_sha256(generate(bench_model, prompts[0], cfg).records)
 
-    def test_a_setting_whose_root_fails_gets_no_stale_tree(self, bench_model):
-        # 1.5e308 / 0.5 overflows, so the softmax at T = 0.5 raises; the tree
-        # built at T = 1 must not then serve the next generation at T = 0.5
+    def test_a_setting_whose_softmax_fails_caches_nothing(self, bench_model):
+        # 1.5e308 / 0.5 overflows, so the softmax at T = 0.5 raises: the
+        # first distribution cached at T = 1 must not serve T = 0.5
         logits = np.zeros(bench_model.config.vocab)
         logits[:2] = 1.5e308, -1.5e308
         start = prefill(bench_model, [1, 2])
@@ -161,6 +141,7 @@ class TestPrefillTree:
             for _ in range(2):
                 with pytest.raises(ValueError, match="non-finite"):
                     generate(bench_model, [1, 2], gen_cfg(dict(key, temperature=0.5), 0, 1), prefix=odd)
+        assert list(odd._first) == [(1.0, 1.0)]
 
 
 @st.composite
@@ -357,7 +338,6 @@ class TestFilledTrials:
     @given(case=drawn_trials())
     def test_filled_trials_equal_plain_generate_calls(self, case):
         model, prompts, budget, cfgs = case
-        context = model.config.context
         batched = {n for n, count in collections.Counter(map(len, set(prompts))).items() if count > 1}
         cache, seen = {}, []
         real_generate, real_step = experiments.generate, kernels.decode_step
@@ -378,10 +358,13 @@ class TestFilledTrials:
                 want_score, want_records = plain_score(model, cfg, prompts, budget)
                 assert score == want_score
                 assert [digest for _, _, digest, _ in seen] == want_records
+                taken = set()
                 for prompt, start, _, steps in seen:
-                    # a filled tree serves the whole generation unless it filled up
-                    if len(prompt) in batched and start._tree.size < context:
+                    # a batched prompt's first generate takes its prefetched result
+                    if len(prompt) in batched and start not in taken:
                         assert steps == 0, prompt
+                    taken.add(start)
+                assert not any(start._pending for _, start in cache.values())
         for (prompt, *_), (_, start) in cache.items():
             fresh = prefill(model, prompt)
             assert start.state.length == fresh.state.length
@@ -403,7 +386,7 @@ class TestFilledTrials:
         )
         out = tmp_path_factory.mktemp("grid")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "fill_trees", lambda prefixes, cfg: None)
+            mp.setattr(experiments, "prefetch", lambda prefixes, cfg: None)
             run_grid(spec, out_path=out / "plain.csv", jobs=1)
         serial = run_grid(spec, out_path=out / "serial.csv", jobs=1)
         run_grid(spec, out_path=out / "parallel.csv", jobs=2)
@@ -416,21 +399,6 @@ class TestFilledTrials:
         ]
         assert [row.score for row in serial.rows] == want
 
-    def test_capped_trees_equal_plain_generate_calls(self, model12):
-        prompts = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 2, 3)]
-        key = {"mode": "moi", "beta": 1.0, "temperature": 1.5, "top_p": 1.0}
-        cache = {}
-        for seed in range(12):
-            cfg = gen_cfg(key, seed, 9)
-            want, _ = plain_score(model12, cfg, prompts, 9)
-            assert greedy_recovery_score(model12, cfg, prompts, 9, _ref_cache=cache) == want
-        starts = [start for _, start in cache.values()]
-        assert max(start._tree.size for start in starts) == model12.config.context
-        for start in starts:
-            cfg = gen_cfg(key, 12, 9)
-            shared = generate(model12, list(start.prompt), cfg, prefix=start)
-            assert records_sha256(shared.records) == records_sha256(generate(model12, list(start.prompt), cfg).records)
-
     def test_generate_after_a_fill_runs_no_forward(self, bench_model, monkeypatch):
         prompts = [tuple(b"ab"), tuple(b"cd"), tuple(b"ef")]
         cfg = gen_cfg({"mode": "direct_mixture", "beta": 1.0, "temperature": 1.0, "top_p": 0.95}, 7, 12)
@@ -440,7 +408,7 @@ class TestFilledTrials:
         calls = []
         real_rows = kernels.decode_rows
         monkeypatch.setattr(kernels, "decode_rows", lambda *a: calls.append(len(a[0])) or real_rows(*a))
-        fill_trees(starts + starts[:1], cfg)
+        prefetch(starts + starts[:1], cfg)
         assert calls == [3] * 11
         monkeypatch.setattr(kernels, "decode_step", lambda *a: pytest.fail("generate ran a forward"))
         for prompt, start, state, digest in zip(prompts, starts, states, fresh):
@@ -457,8 +425,8 @@ class TestFilledTrials:
         calls = []
         real_rows = kernels.decode_rows
         monkeypatch.setattr(kernels, "decode_rows", lambda *a: calls.append(len(a[0])) or real_rows(*a))
-        fill_trees(starts, cfg)
-        # no stop token and no shared tree: every row runs each of the 4 fed positions
+        prefetch(starts, cfg)
+        # no stop token: every row runs each of the 4 fed positions
         parts = -(-n // pipeline.FILL_ROWS)
         sizes = [len(range(i, n, parts)) for i in range(parts)]
         assert max(sizes) <= pipeline.FILL_ROWS and max(sizes) - min(sizes) <= 1
@@ -468,7 +436,7 @@ class TestFilledTrials:
             assert records_sha256(generate(model, prompt, cfg, prefix=start).records) == digest
 
     def test_a_trial_builds_one_stream(self, bench_model, monkeypatch):
-        # 18 two-byte and 6 three-byte prompts: 2 fill calls and 24 generates share one config's draws
+        # 18 two-byte and 6 three-byte prompts: 2 prefetch calls and 24 generates share one config's draws
         prompts = [(97, i) for i in range(18)] + [(1, 2, i) for i in range(6)]
         seeds = []
         real_rng = pipeline.make_rng
@@ -480,6 +448,53 @@ class TestFilledTrials:
     def test_a_group_of_one_is_not_filled(self, bench_model, monkeypatch):
         monkeypatch.setattr(kernels, "decode_rows", lambda *a: pytest.fail("a lone prompt length was batched"))
         cfg = gen_cfg({"mode": "moi", "beta": 1.0, "temperature": 0.6, "top_p": 0.95}, 0, 5)
-        start = prefill(bench_model, b"ab")
-        fill_trees([start, start, prefill(bench_model, b"xyz")], cfg)
-        assert start._tree.size == 0
+        starts = [prefill(bench_model, b"ab"), prefill(bench_model, b"xyz")]
+        prefetch(starts + starts[:1], cfg)
+        assert [start._pending for start in starts] == [{}, {}]
+
+    @pytest.mark.parametrize("field", ["seed", "beta", "max_tokens", "stop_tokens"])
+    def test_a_pending_result_goes_once_to_an_equal_config(self, bench_model, field):
+        prompts = [list(b"ab"), list(b"cd")]
+        key = {"mode": "moi", "beta": 1.0, "temperature": 1.0, "top_p": 1.0}
+        other = {
+            "seed": gen_cfg(key, 6, 8),
+            "beta": gen_cfg(dict(key, beta=2.0), 5, 8),
+            "max_tokens": gen_cfg(key, 5, 7),
+            "stop_tokens": gen_cfg(key, 5, 8, [0]),
+        }[field]
+        cfg = gen_cfg(key, 5, 8)
+        starts = [prefill(bench_model, p) for p in prompts]
+        prefetch(starts, cfg)
+        [pending] = starts[0]._pending.values()
+        # the other config decodes; then an equal config (another object) takes the result, once
+        for asked, taken in ((other, False), (gen_cfg(key, 5, 8), True), (cfg, False)):
+            result = generate(bench_model, prompts[0], asked, prefix=starts[0])
+            assert (result is pending) == taken
+            assert records_sha256(result.records) == records_sha256(generate(bench_model, prompts[0], asked).records)
+        assert starts[0]._pending == {} and len(starts[1]._pending) == 1
+
+    def test_a_grid_leaves_no_pending_result(self, bench_model, monkeypatch):
+        # grid_short's shape: 18 two-byte and 6 three-byte prompts, budget 5
+        prompts = [(97, 98 + i) for i in range(18)] + [(1, 2, i) for i in range(6)]
+        spec = GridSpec(
+            task=TaskSpec(model=bench_model, prompts=prompts, budget=5),
+            betas=(0.01, 1e6),
+            top_ps=(0.95, 1.0),
+            temperatures=(0.6, 1.0),
+            modes=("moi",),
+            seeds=(0, 1),
+        )
+        caches, real_init = [], experiments._worker_init
+
+        def keep_cache(task):
+            # run_grid clears the worker state when it returns
+            real_init(task)
+            caches.append(experiments._WORKER["ref_cache"])
+
+        monkeypatch.setattr(experiments, "_worker_init", keep_cache)
+        run_grid(spec, jobs=1)
+        [cache] = caches
+        assert len(cache) == len(prompts)
+        for _, start in cache.values():
+            assert start._pending == {}
+            assert sorted(start._first) == [(0.6, 0.95), (0.6, 1.0), (1.0, 0.95), (1.0, 1.0)]

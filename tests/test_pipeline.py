@@ -84,7 +84,7 @@ class TestGenerate:
     @pytest.mark.parametrize("mode", ["standard", "direct_mixture", "moi"])
     def test_record_arrays_share_no_memory(self, bench_model, mode):
         # records keep the sampler's arrays uncopied: each must be its own,
-        # also across two generations that take theirs from one Prefill's tree
+        # also across two generations that take their first from one Prefill
         cfg = gen_cfg(mode=mode, seed=3, max_tokens=12)
         start = prefill(bench_model, list(b"ab"))
         results = [generate(bench_model, list(b"ab"), cfg, prefix=p) for p in (None, start, start)]
@@ -150,7 +150,7 @@ def assert_same_result(a, b):
 
 # the calls of one decode step; replay_verify may also call the weight rule,
 # which it recomputes from a trace with no step around it
-STEP_CALLS = ("sample_position", "feedback_weights", "mix", "_grow")
+STEP_CALLS = ("sample_position", "feedback_weights", "mix")
 # calls no module but pipeline makes, and there only the decode loop
 BATCH_CALLS = ("decode_rows", "truncate_rows")
 
