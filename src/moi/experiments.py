@@ -174,7 +174,8 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     budget, stop tokens) -> (reference, prefill)) carries both across
     calls with the same model, so a grid prefills each prompt once.  The
     sampled generations run as a batch first (`pipeline.prefetch`), and
-    each `generate` then takes its prefill's result.
+    each `generate` then takes its prefill's result.  A prompt listed more
+    than once is generated once and counted at each listing.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1: nothing to compare")
@@ -182,8 +183,8 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     if not prompts:
         raise ValueError("prompt set must be nonempty")
     cfg = replace(cfg, max_tokens=budget)
-    entries = []
-    for prompt in prompts:
+    entries = {}
+    for prompt in dict.fromkeys(prompts):
         key = (prompt, budget, cfg.stop_tokens)
         entry = None if _ref_cache is None else _ref_cache.get(key)
         if entry is None:
@@ -191,13 +192,15 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
             entry = (greedy_decode(model, prompt, budget, cfg.stop_tokens, prefix=start), start)
             if _ref_cache is not None:
                 _ref_cache[key] = entry
-        entries.append(entry)
+        entries[prompt] = entry
     # a prefix from another model is left to generate, which rejects it
-    prefetch([start for _, start in entries if start.model is model], cfg)
-    matches = 0
-    for prompt, (reference, start) in zip(prompts, entries):
-        result = generate(model, prompt, cfg, prefix=start)
-        matches += int(result.tokens == reference)
+    prefetch([start for _, start in entries.values() if start.model is model], cfg)
+    # one generation per distinct prompt, counted once per occurrence
+    hits = {
+        prompt: generate(model, prompt, cfg, prefix=start).tokens == reference
+        for prompt, (reference, start) in entries.items()
+    }
+    matches = sum(hits[prompt] for prompt in prompts)
     return matches / len(prompts)
 
 

@@ -357,13 +357,13 @@ class TestFilledTrials:
                 score = greedy_recovery_score(model, cfg, prompts, budget, _ref_cache=cache)
                 want_score, want_records = plain_score(model, cfg, prompts, budget)
                 assert score == want_score
-                assert [digest for _, _, digest, _ in seen] == want_records
-                taken = set()
-                for prompt, start, _, steps in seen:
-                    # a batched prompt's first generate takes its prefetched result
-                    if len(prompt) in batched and start not in taken:
+                # one generate per distinct prompt, in order of first listing
+                want = dict(zip(prompts, want_records))
+                assert [(prompt, digest) for prompt, _, digest, _ in seen] == [(p, want[p]) for p in dict.fromkeys(prompts)]
+                for prompt, _, _, steps in seen:
+                    # a batched prompt's generate takes its prefetched result
+                    if len(prompt) in batched:
                         assert steps == 0, prompt
-                    taken.add(start)
                 assert not any(start._pending for _, start in cache.values())
         for (prompt, *_), (_, start) in cache.items():
             fresh = prefill(model, prompt)
