@@ -11,9 +11,8 @@ for a batched step's (B, V) logits; a lone row keeps the 1-D form, 18
 against 33 us at B = 1, V = 256 (numpy 2.4 on x86-64 with AVX-512).  The
 row form sorts with numpy's default (SIMD) argsort and sorts a row again
 stably only where a tie is kept: 149-155 us at B = 18, against 292-310
-with the stable sort.
-The 1-D form keeps the stable sort: the SIMD sort saves 1-2 us of 12 a
-call there, which the tie check spends again.
+with the stable sort.  The 1-D form keeps the stable sort: the SIMD sort
+saves 1-2 us of a 12 us call there, which the tie check spends again.
 
 These functions run once per decoded token and follow the hot-path rule
 of the kernels module (ufunc methods, array methods such as ``ndarray.dot``
@@ -142,9 +141,9 @@ def truncate_rows(logits: np.ndarray, temperature: float, top_p: float) -> list[
     # a flat take: row i's entries start at i * v
     sorted_p = e.take(order + np.arange(0, b * v, v)[:, None])
     keeps = np.add.reduce(np.add.accumulate(sorted_p, axis=1) < top_p, axis=1) + 1
-    # the zero-tail trim, max(min(keep, v, positive count), 1): sorted_p is
-    # descending, so its positive entries lead, and a row that sums to 1
-    # holds between 1 and v of them
+    # the zero-tail trim: sorted_p is descending, so its positive entries
+    # lead; a row that sums to 1 holds between 1 and v of them, so this is
+    # max(min(keep, v, positive count), 1)
     keeps = np.minimum(keeps, np.add.reduce(e > 0.0, axis=1))
     # equal values sort to the same bytes in any order, so only the ids of a
     # tie inside the kept prefix or across its edge need the stable order;

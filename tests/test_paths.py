@@ -359,7 +359,7 @@ class TestFilledTrials:
                 assert score == want_score
                 # one generate per distinct prompt, in order of first listing
                 want = dict(zip(prompts, want_records))
-                assert [(prompt, digest) for prompt, _, digest, _ in seen] == [(p, want[p]) for p in dict.fromkeys(prompts)]
+                assert [(prompt, digest) for prompt, _, digest, _ in seen] == list(want.items())
                 for prompt, _, _, steps in seen:
                     # a batched prompt's generate takes its prefetched result
                     if len(prompt) in batched:
