@@ -149,11 +149,9 @@ def truncate_rows(logits: np.ndarray, temperature: float, top_p: float) -> list[
     # tie inside the kept prefix or across its edge need the stable order;
     # no row keeps past the longest prefix
     head = sorted_p[:, : int(np.maximum.reduce(keeps)) + 1]
-    tied = head[:, 1:] == head[:, :-1]
-    if tied.any():
-        tied &= np.arange(1, head.shape[1]) <= keeps[:, None]
-        for i in np.flatnonzero(np.logical_or.reduce(tied, axis=1)).tolist():
-            order[i] = np.negative(e[i]).argsort(kind="stable")
+    tied = (head[:, 1:] == head[:, :-1]) & (np.arange(1, head.shape[1]) <= keeps[:, None])
+    for i in np.flatnonzero(np.logical_or.reduce(tied, axis=1)).tolist():
+        order[i] = np.negative(e[i]).argsort(kind="stable")
     dists = []
     for ids, row, keep in zip(order, sorted_p, keeps.tolist()):
         kept = row[:keep]

@@ -279,25 +279,46 @@ def assert_rows_match_the_oracle(logits, temperature, top_p):
     return got
 
 
-# rows whose kept ids depend on the tie order, so the row form's SIMD sort
-# must be redone stably for them; with numpy 2.4 on x86-64 (AVX-512) the
-# default argsort puts the higher id of each of the first two ties first.
-# Each sits second in its batch, after a row of distinct logits.
-@pytest.mark.parametrize(("logits", "top_p", "ids"), [
-    # ids 0 and 1 tie across the edge: cum 0.81, 0.92, 0.96, 1.0
-    ([0.0, 0.0, 1.0, 3.0], 0.95, [3, 2, 0]),
-    # ids 0 and 3 tie inside the kept prefix: cum 0.59, 0.81, 0.89, 0.97
-    ([3.0, 0.0, 5.0, 3.0, 4.0, 2.0], 0.95, [2, 4, 0, 3]),
-    # all equal: every pair ties, inside the prefix and across its edge
-    ([1.5] * 5, 0.5, [0, 1, 2]),
-    # ten probabilities of 0.1, whose running sum stays below 1.0, then a
-    # tail that underflows to zero: the trim keeps the ten
-    ([0.0] * 10 + [-1000.0] * 2, 1.0, list(range(10))),
+# rows whose kept ids depend on the tie order, so the row form's default
+# (non-stable) sort must be redone stably for them.  Each case is one row of
+# 256 logits, rank r at -r / 20 but for the planted tie, shuffled into 64 rows
+# of a batch: any non-stable sort, SIMD or not, puts a tied pair of a wide
+# shuffled row in either order, so some rows need the re-sort.  A top_p of
+# None cuts between the running sums at ranks keep - 2 and keep - 1.
+TIE_V, TIE_ROWS = 256, 64
+
+
+def tied_logits(case):
+    z = -np.arange(TIE_V) / 20.0
+    if case == "across_the_edge":
+        z[40] = z[39]  # the prefix ends at rank 39: the lower id of the pair is kept
+    elif case == "inside_the_prefix":
+        z[4] = z[3]
+    elif case == "all_equal":
+        z[:] = 1.5  # every pair ties, inside the prefix and across its edge
+    else:
+        # ten probabilities of 0.1, whose running sum stays below 1.0, then a
+        # tail that underflows to zero: the trim keeps the ten
+        z[:10], z[10:] = 0.0, -1000.0
+    return z
+
+
+@pytest.mark.parametrize(("case", "top_p", "keep"), [
+    ("across_the_edge", None, 40),
+    ("inside_the_prefix", None, 40),
+    ("all_equal", None, 128),
+    ("zero_tail", 1.0, 10),
 ], ids=["across_the_edge", "inside_the_prefix", "all_equal", "zero_tail"])
-def test_a_kept_tie_keeps_the_stable_order(logits, top_p, ids):
-    batch = np.array([np.arange(len(logits), dtype=np.float64), logits])
+def test_a_kept_tie_keeps_the_stable_order(case, top_p, keep):
+    z = tied_logits(case)
+    if top_p is None:
+        cum = np.add.accumulate(oracle_apply_temperature(z, 1.0))
+        top_p = float(cum[keep - 2] + cum[keep - 1]) / 2
+    rng = np.random.default_rng(23)
+    batch = np.array([z[rng.permutation(TIE_V)] for _ in range(TIE_ROWS)])
     got = assert_rows_match_the_oracle(batch, 1.0, top_p)
-    assert got[1].ids.tolist() == ids
+    for row, dist in zip(batch, got):
+        assert dist.ids.tolist() == sorted(range(TIE_V), key=lambda i: (-row[i], i))[:keep]
 
 
 @settings(deadline=None, max_examples=200)

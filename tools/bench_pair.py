@@ -21,9 +21,9 @@ in UNBOUNDED, which BENCHMARK.json does not bound; they get quartiles and
 no bound.  The output file is rewritten after every pair, so an
 interrupted run keeps the pairs it finished.
 
-`--aa` runs the --parent tree on both sides in place of --change, and the
-file says so ("aa": true): an A/A set, which shows how far two runs of one
-program read apart, for a change's pairs to be read beside.
+`--change PARENT_TREE` (the same tree on both sides) makes an A/A set, which
+shows how far two runs of one program read apart, for a change's pairs to be
+read beside; the file's "change" line then says so.
 
 `--traced W:S` adds one `--trace 1` run per side of workload W at seed S and
 records the per-layer metrics BENCHMARK.json lists.  `--claim W:M:R` states
@@ -148,8 +148,7 @@ def claim_check(summary: dict, metric: str, min_rel: float, n_pairs: int) -> dic
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="the parent commit's tree")
-    ap.add_argument("--change", type=Path, help="the change's tree")
-    ap.add_argument("--aa", action="store_true", help="run the --parent tree on both sides: an A/A set")
+    ap.add_argument("--change", type=Path, required=True, help="the change's tree; the parent's for an A/A set")
     ap.add_argument("--workloads", default="decode_long,grid_short,trace_audit")
     ap.add_argument("--seeds", required=True, help="e.g. 1001-1010 or 5,7,9")
     ap.add_argument("--seconds", type=float, default=35.0)
@@ -161,10 +160,7 @@ def main(argv=None) -> int:
     ap.add_argument("--traced", action="append", default=[], help="W:SEED, one traced run per side")
     args = ap.parse_args(argv)
 
-    if args.aa == (args.change is not None):
-        ap.error("give exactly one of --change and --aa")
-    trees = {"parent": args.parent.resolve()}
-    trees["change"] = trees["parent"] if args.aa else args.change.resolve()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     e2e = [m["name"] for m in spec["end_to_end"]]
     per_layer = [m["name"] for m in spec["per_layer"]]
@@ -178,8 +174,7 @@ def main(argv=None) -> int:
         "claim": [f"{w}: {m} better by >= {r:.0%}" for w, ms in claims.items() for m, r in ms] or "none",
         "command": f"python3 perfbench/run.py --workload W --seconds {args.seconds:g} --trace 0 --seed S",
         "parent_commit": args.parent_commit,
-        "aa": args.aa,
-        "change": "the parent's tree again, run as the change side: an A/A set" if args.aa else
+        "change": "the parent's tree again, run as the change side: an A/A set" if trees["change"] == trees["parent"] else
                   "the change's src/ in a tree of its own; perfbench/ and BENCHMARK.json are the parent's, unchanged",
         "pairing": "per seed and workload the two sides run back to back; 'first' names the side that ran first, "
                    "alternating from one pair to the next",
