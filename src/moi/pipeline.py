@@ -15,10 +15,11 @@ state and runs the prompt.  `prefill` runs a prompt once, and
 and from its first distribution, truncated once per (T, top_p).  One loop
 decodes: `generate` runs it on one row, and `prefetch` on the Prefills of
 one prompt length at once, one batched forward a position (byte-identical
-to one row at a time), leaving each Prefill the result that the
-`generate` call after it takes.  The sampler runs where the forward
-returns: in its 1-D form on a lone row, in one (B, V) pass on a batched
-step.  Decodes that share a config (a grid trial's) draw its uniforms once.
+to one row at a time) into K and V buffers whose slots are the rows'
+caches, leaving each Prefill the result that the `generate` call after it
+takes.  The sampler runs where the forward returns: in its 1-D form on a
+lone row, in one (B, V) pass on a batched step.  Decodes that share a
+config (a grid trial's) draw its uniforms once.
 
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
@@ -249,7 +250,7 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     return GenerationResult([rec.token for rec in records], records, t1 - t0, time.perf_counter() - t1, len(prompt))
 
 
-# rows per `prefetch` call to `_decode`: bounds the caches it stacks a step
+# rows per `prefetch` call to `_decode`: bounds the rows of its K and V buffers
 FILL_ROWS = 32
 
 
@@ -301,14 +302,14 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
     """The decode loop: step `rows`, all at one position, in lockstep for
     `cfg`; step k of every row takes `cfg.draws[k]`.  A row samples,
     weights and records, then ends or feeds a vector.  One fed row runs
-    `model.forward_step` and the 1-D sampler, more one `kernels.decode_rows`
-    over a stack of their caches, whose new position is written back to
-    each state, and `truncate_rows`."""
+    `model.forward_step` and the 1-D sampler, more `truncate_rows` and one
+    `kernels.decode_rows`, which writes the new position into the K and V
+    buffers the call owns and their states view (slot i is row i's cache)."""
     table, vocab = model.embedding_table, model.config.vocab
     mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
     temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
     last, draws = cfg.max_tokens - 1, cfg.draws
-    feeding = rows
+    feeding, k_rows, v_rows = rows, (), ()
     for step in range(cfg.max_tokens):
         live, feeding, fed = feeding, [], []
         for row in live:
@@ -326,14 +327,19 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
         if len(feeding) == 1:
             outs = [_truncated(model.forward_step(feeding[0].state, fed[0]), cfg.sampler, vocab)]
         elif feeding:
+            if len(feeding) != len(k_rows):
+                # the first batched step, or rows stopped: the feeding rows' caches become the
+                # slots of a new buffer; a stopped row copies its slot, so the old buffer is freed
+                for row in set(live).difference(feeding):
+                    row.state.k_cache, row.state.v_cache = row.state.k_cache.copy(), row.state.v_cache.copy()
+                k_rows = np.array([row.state.k_cache for row in feeding])
+                v_rows = np.array([row.state.v_cache for row in feeding])
+                for row, k, v in zip(feeding, k_rows, v_rows):
+                    row.state.k_cache, row.state.v_cache = k, v
             pos = feeding[0].state.length
-            k_rows = np.array([row.state.k_cache for row in feeding])
-            v_rows = np.array([row.state.v_cache for row in feeding])
             logits = kernels.decode_rows(np.array(fed, np.float64)[:, None], pos, model.kernel_params, k_rows, v_rows)
             outs = [(d, mix_core.entropy_of(d.probs, vocab)) for d in truncate_rows(logits, temperature, top_p)]
-            for row, k, v in zip(feeding, k_rows, v_rows):
-                row.state.k_cache[:, :, pos] = k[:, :, pos]
-                row.state.v_cache[:, :, pos] = v[:, :, pos]
+            for row in feeding:
                 row.state.length += 1
         else:
             return

@@ -7,12 +7,12 @@ renormalize, then draw by inverse CDF.  The random stream is a PCG64
 generator: token k of a decode takes its k-th float64, so a trace is
 reproducible from (logits, T, top_p, seed) alone (`GenConfig.draws`).
 `truncate_rows` is the row form of `apply_temperature` + `top_p_truncate`
-for a batched step's (B, V) logits; a lone row keeps the 1-D form, 18
-against 33 us at B = 1, V = 256 (numpy 2.4 on x86-64 with AVX-512).  The
-row form sorts with numpy's default (SIMD) argsort and sorts a row again
-stably only where a tie is kept: 149-155 us at B = 18, against 292-310
-with the stable sort.  The 1-D form keeps the stable sort: the SIMD sort
-saves 1-2 us of a 12 us call there, which the tie check spends again.
+for a batched step's (B, V) logits; a lone row keeps the 1-D form, 19-21
+against 37-40 us at B = 1, V = 256 (numpy 2.4 on x86-64 with AVX-512).
+Both sort with numpy's default (SIMD) argsort and sort a row again stably
+only where a tie is kept.  On T 0.6 rows of the engine's model a stable
+argsort of 256 takes 10.4 us and the default one 2.7: `top_p_truncate`
+takes 12.2 against 18.5 us, the row form 149-172 against 292-310 at B = 18.
 
 These functions run once per decoded token and follow the hot-path rule
 of the kernels module (ufunc methods, array methods such as ``ndarray.dot``
@@ -102,12 +102,15 @@ def top_p_truncate(probs: np.ndarray, top_p: float) -> TruncatedDistribution:
     if not (0.0 < top_p <= 1.0):
         raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
 
-    order = np.negative(p).argsort(kind="stable")
+    order = np.negative(p).argsort()
     sorted_p = p[order]
     keep = min(int(np.add.accumulate(sorted_p).searchsorted(top_p, side="left")) + 1, p.size)
     # never keep zero-probability tail entries dragged in by float drift
     while keep > 1 and sorted_p[keep - 1] <= 0.0:
         keep -= 1
+    head = sorted_p[: keep + 1]  # as in `truncate_rows`: only a kept tie needs the stable order
+    if np.logical_or.reduce(head[1:] == head[:-1]):
+        order = np.negative(p).argsort(kind="stable")
 
     kept = sorted_p[:keep]
     return TruncatedDistribution(order[:keep], kept / np.add.reduce(kept))

@@ -271,16 +271,19 @@ def test_row_form_is_byte_identical_row_by_row(batch, temperature, top_p):
 
 
 def assert_rows_match_the_oracle(logits, temperature, top_p):
+    """The row form over `logits`, and the 1-D form on each row, against the oracle."""
     got = sampler.truncate_rows(logits, temperature, top_p)
     assert len(got) == logits.shape[0]
     for row, dist in zip(logits, got):
         want = oracle_top_p_truncate(oracle_apply_temperature(row, temperature), top_p)
-        assert same_bytes(dist.ids, want.ids) and same_bytes(dist.probs, want.probs)
+        one = sampler.top_p_truncate(sampler.apply_temperature(row, temperature), top_p)
+        for d in (dist, one):
+            assert same_bytes(d.ids, want.ids) and same_bytes(d.probs, want.probs)
     return got
 
 
-# rows whose kept ids depend on the tie order, so the row form's default
-# (non-stable) sort must be redone stably for them.  Each case is one row of
+# rows whose kept ids depend on the tie order, so the default (non-stable)
+# sort of the row form and of the 1-D form must be redone stably for them.  Each case is one row of
 # 256 logits, rank r at -r / 20 but for the planted tie, shuffled into 64 rows
 # of a batch: any non-stable sort, SIMD or not, puts a tied pair of a wide
 # shuffled row in either order, so some rows need the re-sort.  A top_p of
@@ -321,13 +324,54 @@ def test_a_kept_tie_keeps_the_stable_order(case, top_p, keep):
         assert dist.ids.tolist() == sorted(range(TIE_V), key=lambda i: (-row[i], i))[:keep]
 
 
+def oracle_cut(row, temperature):
+    """The oracle's descending probabilities of `row` at top_p 1.0, and the
+    prefix length its running sum gives before the zero-tail trim."""
+    sorted_p = -np.sort(-oracle_apply_temperature(row, temperature))
+    return sorted_p, int(np.searchsorted(np.cumsum(sorted_p), 1.0, side="left")) + 1
+
+
+def aimed_rows(seed, temperature):
+    """Two rows of TIE_V logits for top_p 1.0, aimed at the tie window's edge
+    and at the zero-tail trim.  Both start with 2-11 distinct logits and end
+    in a tail 1000 T below them, which underflows to zero (exp underflows
+    past a gap of 745 T).  In the first a tied pair follows, whose gap (about
+    one ulp of 1.0 in probability) is searched on a grid until the running
+    sum first reaches 1.0 at the pair's first entry: the pair straddles the
+    kept prefix's edge and no other pair ties.  In the second the running sum
+    of the positive entries stays below 1.0, so only the trim ends the
+    prefix.  A head that misses its case is drawn again."""
+    rng = np.random.default_rng(seed)
+    gaps = np.arange(34.0, 37.5, 0.005)
+
+    def hit(pair):
+        while True:
+            h = int(rng.integers(2, 12))
+            ids = rng.permutation(TIE_V)
+            z = np.full((gaps.size if pair else 1, TIE_V), -1000.0)
+            z[:, ids[:h]] = head = rng.normal(0.0, 1.0, h)
+            if pair:
+                z[:, ids[h : h + 2]] = (head.max() - gaps)[:, None]
+            for row in z * temperature:
+                sorted_p, keep = oracle_cut(row, temperature)
+                if not np.logical_and.reduce(sorted_p[: h - 1] > sorted_p[1:h]):
+                    continue
+                if (keep == h + 1 and sorted_p[h] == sorted_p[h + 1] > 0.0) if pair else keep > h:
+                    return row
+
+    return np.array([hit(True), hit(False)])
+
+
 @settings(deadline=None, max_examples=200)
 @given(batch=row_batches, decimals=st.integers(0, 1), temperature=st.floats(0.01, 1.5))
 def test_row_form_of_rounded_logits_is_byte_identical(batch, decimals, temperature):
     """Rounding makes ties in every row, and a low T underflows the tail to
-    zeros, so the tie check and the zero-tail trim both run at top_p 1.0."""
+    zeros, so the tie check and the zero-tail trim both run at top_p 1.0.
+    Each draw also runs `aimed_rows`, which hit the tie window's edge and the
+    trim every time."""
     logits, _ = draw_rows(*batch)
     assert_rows_match_the_oracle(np.round(logits, decimals), temperature, 1.0)
+    assert_rows_match_the_oracle(aimed_rows(batch[2], temperature), temperature, 1.0)
 
 
 @settings(deadline=None, max_examples=100)

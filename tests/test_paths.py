@@ -435,6 +435,43 @@ class TestFilledTrials:
         for prompt, start, digest in zip(prompts, starts, fresh):
             assert records_sha256(generate(model, prompt, cfg, prefix=start).records) == digest
 
+    def test_rows_that_stop_keep_caches_of_their_own(self, small_model, monkeypatch):
+        # the rows stop at steps 1, 1, 10 and 6: the batch buffer is restacked
+        # from 4 rows to 2, then one row runs alone in its slot, then none is left
+        prompts = [(1, 2), (3, 4), (5, 6), (7, 8)]
+        cfg = gen_cfg({"mode": "moi", "beta": 1.0, "temperature": 1.0, "top_p": 0.95}, 0, 12, [13, 17])
+        fresh = [generate(small_model, p, cfg) for p in prompts]
+        assert [len(r.tokens) for r in fresh] == [2, 2, 11, 7]
+        starts = [prefill(small_model, p) for p in prompts]
+        states, rows = [], []
+        real_start, real_rows, real_step = pipeline.start_state, kernels.decode_rows, kernels.decode_step
+
+        def start_spy(*args):
+            state, logits = real_start(*args)
+            states.append(state)
+            return state, logits
+
+        def views(rows_in_call, k, v):
+            # the live rows' states view the caches the forward writes; a
+            # stopped row keeps no other buffer alive; no two states share memory
+            live = [s for s in states if np.shares_memory(s.k_cache, k)]
+            assert len(live) == rows_in_call and all(np.shares_memory(s.v_cache, v) for s in live)
+            buffers = [s.k_cache.base for s in live]
+            assert all(s.k_cache.base is None or any(s.k_cache.base is b for b in buffers) for s in states)
+            for i, a in enumerate(states):
+                for b in states[i + 1 :]:
+                    assert not (np.shares_memory(a.k_cache, b.k_cache) or np.shares_memory(a.v_cache, b.v_cache))
+            rows.append(rows_in_call)
+
+        monkeypatch.setattr(pipeline, "start_state", start_spy)
+        monkeypatch.setattr(kernels, "decode_rows", lambda *a: views(len(a[0]), *a[3:]) or real_rows(*a))
+        monkeypatch.setattr(kernels, "decode_step", lambda *a: views(1, *a[3:]) or real_step(*a))
+        prefetch(starts, cfg)
+        assert rows == [4] + [2] * 5 + [1] * 4
+        for prompt, start, want in zip(prompts, starts, fresh):
+            got = generate(small_model, prompt, cfg, prefix=start)
+            assert got.tokens == want.tokens and records_sha256(got.records) == records_sha256(want.records)
+
     def test_a_trial_builds_one_stream(self, bench_model, monkeypatch):
         # 18 two-byte and 6 three-byte prompts: 2 prefetch calls and 24 generates share one config's draws
         prompts = [(97, i) for i in range(18)] + [(1, 2, i) for i in range(6)]
