@@ -259,9 +259,10 @@ def prefetch(prefixes, cfg: GenConfig) -> None:
     `generate(p.model, p.prompt, cfg, prefix=p)` and leave it with p for
     that call to take; it replaces any result p held.  Prefills of one
     model and prompt length are the rows of one decode loop, split evenly
-    into calls of at most FILL_ROWS; a group of one is left to `generate`.
-    A result's `prefill_seconds` and `decode_seconds` are its call's times
-    divided by the call's rows.  The Prefills' states are only read."""
+    into calls of at most FILL_ROWS, each with one K and one V buffer for its
+    rows' caches; a group of one is left to `generate`.  A result's
+    `prefill_seconds` and `decode_seconds` are its call's times divided by
+    the call's rows.  The Prefills' states are only read."""
     groups: dict = {}
     for p in dict.fromkeys(prefixes):
         p._pending.clear()
@@ -328,8 +329,7 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
             outs = [_truncated(model.forward_step(feeding[0].state, fed[0]), cfg.sampler, vocab)]
         elif feeding:
             if len(feeding) != len(k_rows):
-                # the first batched step, or rows stopped: the feeding rows' caches become the
-                # slots of a new buffer; a stopped row copies its slot, so the old buffer is freed
+                # the first batched step, or rows stopped: restack; a stopped row copies its slot, freeing the old buffer
                 for row in set(live).difference(feeding):
                     row.state.k_cache, row.state.v_cache = row.state.k_cache.copy(), row.state.v_cache.copy()
                 k_rows = np.array([row.state.k_cache for row in feeding])

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Plant each known decode-path defect in a fresh copy of the repo and count the tests it fails.
 
-    python3 tools/planted_defects.py [--rev HEAD] [--jobs 1] [--only TEXT] [--workdir DIR]
+    python3 tools/planted_defects.py [--rev HEAD] [--jobs 1] [--only TEXT]
 
 Each entry of DEFECTS below is one defect: a name and the (file, old, new)
 text edits that plant it.  For each, the script extracts `git archive REV`
-into a directory of its own, checks that every `old` text occurs exactly
-once, applies the edits and runs
+into a directory of its own under the temporary directory ($TMPDIR),
+checks that every `old` text occurs exactly once, applies the edits and
+runs
 
     PYTHONPATH=src python -m pytest -q -rfE -p no:cacheprovider tests/
 
@@ -141,12 +142,11 @@ def main(argv=None) -> int:
     ap.add_argument("--rev", default="HEAD", help="the revision to copy (git archive)")
     ap.add_argument("--jobs", type=int, default=1, help="copies run at once")
     ap.add_argument("--only", default="", help="run only the defects whose name contains this text")
-    ap.add_argument("--workdir", type=Path, help="where the copies go (default: the system's temporary directory)")
     args = ap.parse_args(argv)
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
     repo = Path(__file__).resolve().parent.parent
-    workdir = Path(tempfile.mkdtemp(prefix="planted-", dir=args.workdir))
+    workdir = Path(tempfile.mkdtemp(prefix="planted-"))
     defects = [("none (the unedited copy)", [])] + [d for d in DEFECTS if args.only in d[0]]
     # every edit must apply before any copy runs
     for name, edits in defects:
