@@ -1,39 +1,38 @@
 #!/usr/bin/env python3
 """Plant each known decode-path defect in a fresh copy of the repo and count the tests it fails.
 
-    python3 tools/planted_defects.py [--rev HEAD] [--jobs 1] [--only TEXT]
+    python3 tools/planted_defects.py
 
 Each entry of DEFECTS below is one defect: a name and the (file, old, new)
-text edits that plant it.  For each, the script extracts `git archive REV`
+text edits that plant it.  For each, the script extracts `git archive HEAD`
 into a directory of its own under the temporary directory ($TMPDIR),
 checks that every `old` text occurs exactly once, applies the edits and
 runs
 
     PYTHONPATH=src python -m pytest -q -rfE -p no:cacheprovider tests/
 
-there.  The copy has no `.hypothesis/` directory, so every run starts with
-an empty hypothesis database.  A first run of the unedited copy must fail
-no test, so that each count below it is the defect's own.  The script
+there, one copy after another.  The copy has no `.hypothesis/` directory,
+so every run starts with an empty hypothesis database.  A first run of the
+unedited copy must exit 0, so that each count below it is the defect's own;
+a defect's run must exit 0 or 1 (tests ran, some failed).  The script
 prints the failing-test count and ids of every defect, and exits 1 when an
-`old` text is missing or repeated, when the unedited copy fails a test, or
-when a defect fails none.
+`old` text is missing or repeated, when the unedited copy does not pass,
+when pytest exits with any other status or outlasts its timeout, or when a
+defect fails no test.
 
 A change that deletes the structure a defect targets drops the entry and
 says so; a change that adds a structure adds one (ROADMAP, "Planted
-defects").  Timing gates can fail under load, so with `--jobs` above 1 read
-the ids: a defect caught only by a timing test is rerun alone.
+defects").
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 PIPELINE, SAMPLER, KERNELS = "src/moi/pipeline.py", "src/moi/sampler.py", "src/moi/kernels.py"
@@ -118,55 +117,56 @@ def planted(texts: dict, edits) -> dict:
     return texts
 
 
-def run(repo: Path, rev: str, workdir: Path, index: int, edits) -> tuple[int, list[str], str]:
-    """The failing-test count and ids of `tests/` in a copy of `rev` with
-    `edits` planted; the copy is removed afterwards."""
+TIMEOUT_S = 1800  # one full run of tests/ takes a few minutes
+
+
+def run(repo: Path, workdir: Path, index: int, edits) -> tuple[int, int, list[str], str]:
+    """pytest's exit status and the failing-test count and ids of `tests/`
+    in a copy of HEAD with `edits` planted; the copy is removed afterwards."""
     root = workdir / f"defect-{index:02d}"
     root.mkdir()
-    archive = subprocess.run(["git", "archive", rev], cwd=repo, capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(root)], input=archive, check=True)
-    texts = {rel: (root / rel).read_text() for rel, _, _ in edits}
-    for rel, text in planted(texts, edits).items():
-        (root / rel).write_text(text)
-    env = dict(os.environ, PYTHONPATH="src")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "tests/"]
-    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
-    shutil.rmtree(root)
+    try:
+        archive = subprocess.run(["git", "archive", "HEAD"], cwd=repo, capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(root)], input=archive, check=True)
+        texts = {rel: (root / rel).read_text() for rel, _, _ in edits}
+        for rel, text in planted(texts, edits).items():
+            (root / rel).write_text(text)
+        env = dict(os.environ, PYTHONPATH="src")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "tests/"]
+        try:
+            proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return -1, 0, [], f"timed out after {TIMEOUT_S} s"
+    finally:
+        shutil.rmtree(root)
     ids = [line.split()[1] for line in proc.stdout.splitlines() if re.match(r"(FAILED|ERROR) ", line)]
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else proc.stderr.strip()[-200:]
-    return len(ids), ids, summary
+    return proc.returncode, len(ids), ids, summary
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rev", default="HEAD", help="the revision to copy (git archive)")
-    ap.add_argument("--jobs", type=int, default=1, help="copies run at once")
-    ap.add_argument("--only", default="", help="run only the defects whose name contains this text")
-    args = ap.parse_args(argv)
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be at least 1")
+def main() -> int:
     repo = Path(__file__).resolve().parent.parent
-    workdir = Path(tempfile.mkdtemp(prefix="planted-"))
-    defects = [("none (the unedited copy)", [])] + [d for d in DEFECTS if args.only in d[0]]
+    defects = [("none (the unedited copy)", [])] + DEFECTS
     # every edit must apply before any copy runs
     for name, edits in defects:
-        texts = {rel: subprocess.run(["git", "show", f"{args.rev}:{rel}"], cwd=repo, capture_output=True,
+        texts = {rel: subprocess.run(["git", "show", f"HEAD:{rel}"], cwd=repo, capture_output=True,
                                      text=True, check=True).stdout for rel, _, _ in edits}
         try:
             planted(texts, edits)
         except ValueError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             return 1
-    with ThreadPoolExecutor(args.jobs) as pool:
-        futures = [pool.submit(run, repo, args.rev, workdir, i, edits) for i, (_, edits) in enumerate(defects)]
-        bad = False
-        for (name, edits), future in zip(defects, futures):
-            count, ids, summary = future.result()
-            bad |= (count > 0) if not edits else (count == 0)
-            print(f"{count:3d}  {name}  [{summary}]", flush=True)
+    workdir = Path(tempfile.mkdtemp(prefix="planted-"))
+    bad = False
+    try:
+        for index, (name, edits) in enumerate(defects):
+            status, count, ids, summary = run(repo, workdir, index, edits)
+            bad |= (status != 0) if not edits else (status not in (0, 1) or count == 0)
+            print(f"{count:3d}  {name}  [exit {status}: {summary}]", flush=True)
             for test in ids:
                 print(f"       {test}", flush=True)
-    workdir.rmdir()
+    finally:
+        workdir.rmdir()
     return 1 if bad else 0
 
 
