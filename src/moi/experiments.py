@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .mix_core import MODES, MixConfig, token_id
-from .pipeline import GenConfig, Prefill, check_prompt, generate, prefetch, prefill, start_state
+from .pipeline import GenConfig, Prefill, _greedy_rows, check_prompt, generate, prefetch, start_state
 from .sampler import SamplerConfig, check_seed
 from .toy_lm import Model, load_weights
 
@@ -155,6 +155,7 @@ def greedy_decode(
     from .embedding import lookup
 
     table = model.embedding_table
+    stop_tokens = frozenset(map(token_id, stop_tokens))
     state, logits = start_state(model, check_prompt(model, prompt), budget, prefix)
     tokens: list[int] = []
     for step in range(budget):
@@ -170,12 +171,13 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     """Fraction of prompts whose sampled sequence matches the greedy decode.
 
     Each prompt is prefilled once; its greedy decode and its sampled
-    generation both start from that prefill.  `_ref_cache` ((prompt,
-    budget, stop tokens) -> (reference, prefill)) carries both across
-    calls with the same model, so a grid prefills each prompt once.  The
-    sampled generations run as a batch first (`pipeline.prefetch`), and
-    each `generate` then takes its prefill's result.  A prompt listed more
-    than once is generated once and counted at each listing.
+    generation both start from that prefill.  `_ref_cache` ((prompt, budget,
+    stop tokens) -> (reference, prefill)) carries both across calls with the
+    same model, so a grid prefills each prompt once.  Missed prompts are
+    prefilled and greedy-decoded as lockstep rows (`pipeline._greedy_rows`),
+    the sampled generations run as a batch (`pipeline.prefetch`), and each
+    `generate` takes its result.  A prompt listed more than once is
+    generated once and counted at each listing.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1: nothing to compare")
@@ -183,16 +185,11 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     if not prompts:
         raise ValueError("prompt set must be nonempty")
     cfg = replace(cfg, max_tokens=budget)
-    entries = {}
-    for prompt in dict.fromkeys(prompts):
-        key = (prompt, budget, cfg.stop_tokens)
-        entry = None if _ref_cache is None else _ref_cache.get(key)
-        if entry is None:
-            start = prefill(model, prompt)
-            entry = (greedy_decode(model, prompt, budget, cfg.stop_tokens, prefix=start), start)
-            if _ref_cache is not None:
-                _ref_cache[key] = entry
-        entries[prompt] = entry
+    cache = {} if _ref_cache is None else _ref_cache
+    keys = {prompt: (prompt, budget, cfg.stop_tokens) for prompt in prompts}
+    missed = [prompt for prompt, key in keys.items() if key not in cache]
+    cache.update((keys[prompt], entry) for prompt, entry in _greedy_rows(model, missed, budget, cfg.stop_tokens).items())
+    entries = {prompt: cache[key] for prompt, key in keys.items()}
     # a prefix from another model is left to generate, which rejects it
     prefetch([start for _, start in entries.values() if start.model is model], cfg)
     # one generation per distinct prompt, counted once per occurrence

@@ -13,15 +13,15 @@ attention is two batched matmuls over the heads.  Attention softmax and
 layer norm use max subtraction and a fixed 1e-5 epsilon.
 
 Batched rows: `decode_rows` runs B rows at one position, x (B, 1, d) with
-caches (B, layers, heads, capacity, head_dim), written in place: the decode
-loop owns one such K and V buffer, and slot i is row i's cache.  Each product
-is a stacked gemv, ``(B, 1, n) @ W``, and attention runs over (B, heads,
-length, head_dim), so numpy calls for each row the gemv `decode_step` calls:
-every row is byte-identical to its own `decode_step`, whatever rows share
-the batch.  A gemm, ``(B, d) @ W``, is faster but differs by up to 1.3e-14,
-as OpenBLAS picks its kernel by B.  A row costs about 34 us at B = 10
-against 84 for `decode_step`, but 128 at B = 1: the decode loop runs a lone
-row through `decode_step`, and two or more through `decode_rows`.
+caches (B, layers, heads, capacity, head_dim) written in place, which
+`pipeline._forward_rows`, its one caller, owns (slot i is row i's cache).
+Each product is a stacked gemv, ``(B, 1, n) @ W``, and attention runs over
+(B, heads, length, head_dim), so numpy calls for each row the gemv
+`decode_step` calls: every row is byte-identical to its own `decode_step`,
+whatever rows share the batch.  A gemm, ``(B, d) @ W``, is faster but
+differs by up to 1.3e-14, as OpenBLAS picks its kernel by B.  A row costs
+about 34 us at B = 10 against 84 for `decode_step`, but 128 at B = 1: a
+lone row runs through `decode_step`.
 
 Hot-path rule (here, in the sampler, the weight rules and the mix): on
 vectors this short a step costs mostly call overhead, so use ufunc methods

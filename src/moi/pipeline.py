@@ -7,19 +7,20 @@ verbatim as weights (direct_mixture), or the posterior-mean mixture
 (moi).  The emitted token sequence is always the sampled discrete tokens;
 only the fed-back representation changes.
 
-Every decode (`generate`, `prefill`, `experiments.greedy_decode`) starts
-in `start_state`, the one place that checks a request against the model
-context (prompt + new tokens <= context, before any forward), sizes its
-state and runs the prompt.  `prefill` runs a prompt once, and
-`generate(..., prefix=...)` starts generations from copies of its state
-and from its first distribution, truncated once per (T, top_p).  One loop
-decodes: `generate` runs it on one row, and `prefetch` on the Prefills of
-one prompt length at once, one batched forward a position (byte-identical
-to one row at a time) into K and V buffers whose slots are the rows'
-caches, leaving each Prefill the result that the `generate` call after it
-takes.  The sampler runs where the forward returns: in its 1-D form on a
-lone row, in one (B, V) pass on a batched step.  Decodes that share a
-config (a grid trial's) draw its uniforms once.
+Every decode sizes its state by one rule, checked before any forward
+(prompt + new tokens <= context); `start_state` applies it and runs the
+prompt for `generate`, `prefill` and `experiments.greedy_decode`.
+`prefill` runs a prompt once, and `generate(..., prefix=...)` starts
+generations from copies of its state and from its first distribution,
+truncated once per (T, top_p).  One loop decodes: `generate` runs it on
+one row, and `prefetch` on the Prefills of one prompt length at once,
+leaving each the result that the `generate` call after it takes.  One
+function runs a batched forward (`_forward_rows`, byte-identical to one
+row at a time) into K and V buffers whose slots are the rows' caches; a
+grid trial's missed greedy references and their Prefills run as such
+rows too (`_greedy_rows`).  The sampler runs where the forward returns:
+in its 1-D form on a lone row, in one (B, V) pass on a batched step.
+Decodes that share a config (a grid trial's) draw its uniforms once.
 
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
@@ -192,14 +193,7 @@ def start_state(model: Model, prompt: list[int], new_tokens: int, prefix: Prefil
     < 1 or the request exceeds the model context.  Without `prefix` the
     prompt is run through the model; with it, `prefix` must come from the
     same model object and the same prompt, and its state is forked."""
-    context = model.config.context
-    if isinstance(new_tokens, bool):
-        raise TypeError("a decode's token count must be an integer, not a bool")
-    if operator.index(new_tokens) < 1:
-        raise ValueError(f"a decode needs at least 1 new token, got {new_tokens}")
-    if len(prompt) + new_tokens > context:
-        raise ValueError(f"prompt ({len(prompt)}) + max_tokens ({new_tokens}) exceeds model context {context}")
-    capacity = len(prompt) + new_tokens - 1
+    capacity = _capacity(model, prompt, new_tokens)
     if prefix is None:
         state = model.new_state(capacity)
         for token in prompt:
@@ -207,6 +201,18 @@ def start_state(model: Model, prompt: list[int], new_tokens: int, prefix: Prefil
         return state, logits
     _check_prefix(model, prompt, prefix)
     return prefix.state.fork(capacity), prefix.logits
+
+
+def _capacity(model: Model, prompt: list[int], new_tokens: int) -> int:
+    """The positions a request needs (`start_state`'s rule), checked."""
+    context = model.config.context
+    if isinstance(new_tokens, bool):
+        raise TypeError("a decode's token count must be an integer, not a bool")
+    if operator.index(new_tokens) < 1:
+        raise ValueError(f"a decode needs at least 1 new token, got {new_tokens}")
+    if len(prompt) + new_tokens > context:
+        raise ValueError(f"prompt ({len(prompt)}) + max_tokens ({new_tokens}) exceeds model context {context}")
+    return len(prompt) + new_tokens - 1
 
 
 def _check_prefix(model: Model, prompt: list[int], prefix: Prefill) -> None:
@@ -303,14 +309,13 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
     """The decode loop: step `rows`, all at one position, in lockstep for
     `cfg`; step k of every row takes `cfg.draws[k]`.  A row samples,
     weights and records, then ends or feeds a vector.  One fed row runs
-    `model.forward_step` and the 1-D sampler, more `truncate_rows` and one
-    `kernels.decode_rows`, which writes the new position into the K and V
-    buffers the call owns and their states view (slot i is row i's cache)."""
+    `model.forward_step` and the 1-D sampler, more `_forward_rows` and
+    `truncate_rows`."""
     table, vocab = model.embedding_table, model.config.vocab
     mode, beta, stop_tokens = cfg.mix.mode, cfg.mix.beta, cfg.stop_tokens
     temperature, top_p = cfg.sampler.temperature, cfg.sampler.top_p
     last, draws = cfg.max_tokens - 1, cfg.draws
-    feeding, k_rows, v_rows = rows, (), ()
+    feeding, held = rows, ()
     for step in range(cfg.max_tokens):
         live, feeding, fed = feeding, [], []
         for row in live:
@@ -328,23 +333,65 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
         if len(feeding) == 1:
             outs = [_truncated(model.forward_step(feeding[0].state, fed[0]), cfg.sampler, vocab)]
         elif feeding:
-            if len(feeding) != len(k_rows):
-                # the first batched step, or rows stopped: restack; a stopped row copies its slot, freeing the old buffer
-                for row in set(live).difference(feeding):
-                    row.state.k_cache, row.state.v_cache = row.state.k_cache.copy(), row.state.v_cache.copy()
-                k_rows = np.array([row.state.k_cache for row in feeding])
-                v_rows = np.array([row.state.v_cache for row in feeding])
-                for row, k, v in zip(feeding, k_rows, v_rows):
-                    row.state.k_cache, row.state.v_cache = k, v
-            pos = feeding[0].state.length
-            logits = kernels.decode_rows(np.array(fed, np.float64)[:, None], pos, model.kernel_params, k_rows, v_rows)
+            logits, held = _forward_rows(model, [row.state for row in feeding], fed, held)
             outs = [(d, mix_core.entropy_of(d.probs, vocab)) for d in truncate_rows(logits, temperature, top_p)]
-            for row in feeding:
-                row.state.length += 1
         else:
             return
         for row, (dist, entropy) in zip(feeding, outs):
             row.dist, row.entropy = dist, entropy
+
+
+def _forward_rows(model: Model, states: list, x: list, held: tuple = ()) -> tuple:
+    """Feed x[i] to states[i], all at one position: one `kernels.decode_rows`
+    into K and V buffers whose slot i is states[i]'s cache (the state views
+    it), or `model.forward_step` for a lone row.  Returns the (B, vocab)
+    logits and `held`, the (states, K, V) to pass to the next call: the
+    buffers are stacked again only when fewer states come (rows stopped),
+    and a stopped row copies its slot, so no old buffer stays alive."""
+    if len(states) == 1:
+        return model.forward_step(states[0], x[0])[None], held
+    old = held[0] if held else ()
+    if len(states) != len(old):
+        kept = set(map(id, states))
+        for state in old:
+            if id(state) not in kept:
+                state.k_cache, state.v_cache = state.k_cache.copy(), state.v_cache.copy()
+        held = states, np.array([s.k_cache for s in states]), np.array([s.v_cache for s in states])
+        for state, k, v in zip(*held):
+            state.k_cache, state.v_cache = k, v
+    logits = kernels.decode_rows(np.array(x, np.float64)[:, None], states[0].length, model.kernel_params, *held[1:])
+    for state in states:
+        state.length += 1
+    return logits, held
+
+
+def _greedy_rows(model: Model, prompts, budget: int, stop_tokens: frozenset) -> dict:
+    """{prompt: (reference, Prefill)} for the distinct `prompts`, byte for byte
+    `prefill` and then `experiments.greedy_decode` from it.  Each prompt is
+    checked (`check_prompt`, `start_state`'s rule) before any forward.  The
+    prompts of one length are lockstep rows, one `_forward_rows` a position:
+    the prompt, a snapshot (the state forked to the prompt's length, a copy of
+    the logits row), then argmax steps to a stop token or `budget`."""
+    groups: dict = {}
+    for prompt in prompts:
+        prompt = check_prompt(model, prompt)
+        state = model.new_state(_capacity(model, prompt, budget))
+        groups.setdefault(len(prompt), []).append((tuple(prompt), state, []))
+    table, out = model.embedding_table.matrix, {}
+    for n, rows in groups.items():
+        held = ()
+        for t in range(n):
+            logits, held = _forward_rows(model, [s for _, s, _ in rows], [table[p[t]] for p, _, _ in rows], held)
+        for (prompt, state, ref), row in zip(rows, logits):
+            out[prompt] = ref, Prefill(model, prompt, state.fork(n), row.copy())
+        for step in range(budget):
+            for (_, _, ref), token in zip(rows, logits.argmax(axis=1).tolist()):
+                ref.append(token)
+            rows = [row for row in rows if row[2][-1] not in stop_tokens and step < budget - 1]
+            if not rows:
+                break
+            logits, held = _forward_rows(model, [s for _, s, _ in rows], [table[r[-1]] for _, _, r in rows], held)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,46 @@ class TestDecodeRows:
         assert_rows_tie(default_model, 3, default_model.config.context, 0)
 
 
+class TestGreedyRows:
+    """A trial's missed references run as lockstep rows (`pipeline._greedy_rows`):
+    each equals `prefill` and then `greedy_decode` from it, byte for byte."""
+
+    # a group of one, three prompts of two tokens, two of three
+    PROMPTS = [(5,), (1, 2), (3, 4), (6, 7), (8, 9, 10), (11, 12, 13)]
+
+    # without stops every reference of small_model runs to the budget; with
+    # 27, 13 and 40 they end at steps 1, -, 1, 0, - and 2
+    @pytest.mark.parametrize(
+        "budget, stops, lengths",
+        [(1, (), [1] * 6), (1, (27,), [1] * 6), (8, (), [8] * 6), (8, (27, 13, 40), [2, 8, 2, 1, 8, 3])],
+    )
+    def test_rows_equal_prefill_and_greedy_decode(self, small_model, monkeypatch, budget, stops, lengths):
+        stops, batched, sizes = frozenset(stops), [], []
+        real_rows = kernels.decode_rows
+
+        def spy(*args):
+            logits = real_rows(*args)
+            sizes.append(len(logits))
+            batched.extend((args[3], args[4], logits))
+            return logits
+
+        monkeypatch.setattr(kernels, "decode_rows", spy)
+        out = pipeline._greedy_rows(small_model, self.PROMPTS, budget, stops)
+        assert list(out) == self.PROMPTS and [len(ref) for ref, _ in out.values()] == lengths
+        # a lone row, the group of one's or a group's last, runs decode_step
+        assert sizes and min(sizes) >= 2
+        for prompt, (reference, start) in out.items():
+            fresh = prefill(small_model, prompt)
+            assert reference == greedy_decode(small_model, prompt, budget, stops, prefix=fresh)
+            assert start.prompt == prompt and start.state.length == start.state.capacity == len(prompt)
+            for a, b in ((start.logits, fresh.logits), (start.state.k_cache, fresh.state.k_cache),
+                         (start.state.v_cache, fresh.state.v_cache)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        arrays = [a for _, start in out.values() for a in (start.logits, start.state.k_cache, start.state.v_cache)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :] + batched)
+
+
 @st.composite
 def drawn_trials(draw):
     """A small random model; 3-7 prompts of 1-3 tokens, one of them
@@ -365,8 +405,10 @@ class TestFilledTrials:
                     if len(prompt) in batched:
                         assert steps == 0, prompt
                 assert not any(start._pending for _, start in cache.values())
-        for (prompt, *_), (_, start) in cache.items():
+        for (prompt, _, stops), (reference, start) in cache.items():
+            assert reference == greedy_decode(model, prompt, budget, stops)
             fresh = prefill(model, prompt)
+            assert start.logits.tobytes() == fresh.logits.tobytes()
             assert start.state.length == fresh.state.length
             assert start.state.k_cache.tobytes() == fresh.state.k_cache.tobytes()
             assert start.state.v_cache.tobytes() == fresh.state.v_cache.tobytes()

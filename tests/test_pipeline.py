@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moi import mix_core, pipeline
+from moi import kernels, mix_core, pipeline
 from moi.experiments import (
     GridSpec,
     ResultsTable,
@@ -21,6 +21,7 @@ from moi.experiments import (
     TrialRow,
     best_of_n_gain,
     greedy_decode,
+    greedy_recovery_score,
     run_grid,
     throughput_bench,
 )
@@ -151,7 +152,8 @@ def assert_same_result(a, b):
 # the calls of one decode step; replay_verify may also call the weight rule,
 # which it recomputes from a trace with no step around it
 STEP_CALLS = ("sample_position", "feedback_weights", "mix")
-# calls no module but pipeline makes, and there only the decode loop
+# calls no module but pipeline makes, and there only the decode loop (its
+# batched forward: `_forward_rows`)
 BATCH_CALLS = ("decode_rows", "truncate_rows")
 
 
@@ -175,7 +177,7 @@ def test_one_function_runs_the_decode_step():
     callers["feedback_weights"].discard("replay_verify")
     # one stream per config, shared by every decode that uses it
     assert callers.pop("make_rng") == {"draws"}
-    assert callers == dict.fromkeys(STEP_CALLS + BATCH_CALLS, {"_decode"})
+    assert callers == {**dict.fromkeys(STEP_CALLS + BATCH_CALLS, {"_decode"}), "decode_rows": {"_forward_rows"}}
     for path in Path(pipeline.__file__).parent.glob("*.py"):
         if path.name != "pipeline.py":
             assert calls_by_function(path, BATCH_CALLS) == dict.fromkeys(BATCH_CALLS, set()), path.name
@@ -222,6 +224,14 @@ class TestIntegerInputs:
     def test_bool_stop_token_rejected(self):
         with pytest.raises(TypeError, match="bool"):
             GenConfig(stop_tokens=[True])
+
+    # greedy_decode once stopped at 197 for a stop token 197.0 and at 1 for
+    # True, and ran the prompt before "ab" raised
+    @pytest.mark.parametrize("stops", [frozenset({197.0}), frozenset({True}), "ab"], ids=["float", "bool", "str"])
+    def test_greedy_decode_stop_tokens_rejected_before_any_forward(self, bench_model, monkeypatch, stops):
+        monkeypatch.setattr(Model, "forward_step", lambda *a: pytest.fail("a forward ran"))
+        with pytest.raises(TypeError):
+            greedy_decode(bench_model, [97, 98], 8, stops)
 
     def test_bool_counts_rejected(self, bench_model, tmp_path):
         with pytest.raises(TypeError, match="max_tokens must be an integer, not a bool"):
@@ -307,6 +317,17 @@ class TestStartRule:
         for budget in (0, -1):
             with pytest.raises(ValueError, match="at least 1 new token"):
                 greedy_decode(model12, self.PROMPT, budget)
+        assert forwards == []
+
+    def test_a_batch_of_references_checks_every_prompt_before_any_forward(self, model12, forwards, monkeypatch):
+        # the over-long prompt comes last, after a group that would batch
+        monkeypatch.setattr(kernels, "decode_rows", lambda *a: pytest.fail("a batched forward ran"))
+        prompts = [(1, 2), (3, 4), (5,), tuple(self.PROMPT)]
+        message = r"^prompt \(8\) \+ max_tokens \(5\) exceeds model context 12$"
+        with pytest.raises(ValueError, match=message):
+            pipeline._greedy_rows(model12, prompts, 5, frozenset())
+        with pytest.raises(ValueError, match=message):
+            greedy_recovery_score(model12, gen_cfg(max_tokens=5), prompts, 5, _ref_cache={})
         assert forwards == []
 
     def test_prefill_leaves_room_for_a_token(self, model12, forwards):

@@ -39,11 +39,11 @@ PIPELINE, SAMPLER, KERNELS = "src/moi/pipeline.py", "src/moi/sampler.py", "src/m
 
 DEFECTS = [
     ("a row bound to its neighbour's slot", [
-        (PIPELINE, "for row, k, v in zip(feeding, k_rows, v_rows):",
-         "for row, k, v in zip(feeding[1:] + feeding[:1], k_rows, v_rows):"),
+        (PIPELINE, "for state, k, v in zip(*held):",
+         "for state, k, v in zip(held[0][1:] + held[0][:1], *held[1:]):"),
     ]),
     ("buffer not restacked when the feeding set shrinks", [
-        (PIPELINE, "if len(feeding) != len(k_rows):", "if not len(k_rows):"),
+        (PIPELINE, "if len(states) != len(old):", "if not old:"),
     ]),
     ("rows of a batch drawing in turn from one shared PCG64 stream", [
         (PIPELINE, "    last, draws = cfg.max_tokens - 1, cfg.draws\n",
@@ -62,10 +62,10 @@ DEFECTS = [
         ("src/moi/embedding.py", 'order = ids.argsort(kind="stable")', "order = np.arange(ids.size)"),
     ]),
     ("a request capacity one too large", [
-        (PIPELINE, "capacity = len(prompt) + new_tokens - 1", "capacity = len(prompt) + new_tokens"),
+        (PIPELINE, "return len(prompt) + new_tokens - 1", "return len(prompt) + new_tokens"),
     ]),
     ("a request capacity one too small", [
-        (PIPELINE, "capacity = len(prompt) + new_tokens - 1", "capacity = len(prompt) + new_tokens - 2"),
+        (PIPELINE, "return len(prompt) + new_tokens - 1", "return len(prompt) + new_tokens - 2"),
     ]),
     ("sampling step k with draw k + 1", [
         (PIPELINE, "random(self.max_tokens)", "random(self.max_tokens + 1)[1:]"),
@@ -102,6 +102,20 @@ DEFECTS = [
     ]),
     ("1-D tie window one short", [
         (SAMPLER, "head = sorted_p[: keep + 1]", "head = sorted_p[:keep]"),
+    ]),
+    ("a reference row fed its neighbour's argmax", [
+        (PIPELINE, "[table[r[-1]] for _, _, r in rows]", "[table[r[-1]] for _, _, r in rows[1:] + rows[:1]]"),
+    ]),
+    ("a Prefill snapshot taken one position late", [
+        (PIPELINE, "        for (prompt, state, ref), row in zip(rows, logits):\n"
+                   "            out[prompt] = ref, Prefill(model, prompt, state.fork(n), row.copy())\n", ""),
+        (PIPELINE, "[table[r[-1]] for _, _, r in rows], held)\n",
+         "[table[r[-1]] for _, _, r in rows], held)\n"
+         "            for (prompt, state, ref), row in zip(rows, logits if step == 0 else ()):\n"
+         "                out[prompt] = ref, Prefill(model, prompt, state.fork(n), row.copy())\n"),
+    ]),
+    ("a reference not ended at its stop token", [
+        (PIPELINE, "if row[2][-1] not in stop_tokens and step < budget - 1]", "if step < budget - 1]"),
     ]),
 ]
 
