@@ -187,8 +187,8 @@ def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _r
     cfg = replace(cfg, max_tokens=budget)
     cache = {} if _ref_cache is None else _ref_cache
     keys = {prompt: (prompt, budget, cfg.stop_tokens) for prompt in prompts}
-    missed = [prompt for prompt, key in keys.items() if key not in cache]
-    cache.update((keys[prompt], entry) for prompt, entry in _greedy_rows(model, missed, budget, cfg.stop_tokens).items())
+    refs = _greedy_rows(model, [p for p, key in keys.items() if key not in cache], budget, cfg.stop_tokens)
+    cache.update((keys[prompt], entry) for prompt, entry in refs.items())
     entries = {prompt: cache[key] for prompt, key in keys.items()}
     # a prefix from another model is left to generate, which rejects it
     prefetch([start for _, start in entries.values() if start.model is model], cfg)

@@ -387,10 +387,10 @@ def _greedy_rows(model: Model, prompts, budget: int, stop_tokens: frozenset) -> 
         for step in range(budget):
             for (_, _, ref), token in zip(rows, logits.argmax(axis=1).tolist()):
                 ref.append(token)
-            rows = [row for row in rows if row[2][-1] not in stop_tokens and step < budget - 1]
+            rows = [(p, s, ref) for p, s, ref in rows if ref[-1] not in stop_tokens and step < budget - 1]
             if not rows:
                 break
-            logits, held = _forward_rows(model, [s for _, s, _ in rows], [table[r[-1]] for _, _, r in rows], held)
+            logits, held = _forward_rows(model, [s for _, s, _ in rows], [table[ref[-1]] for _, _, ref in rows], held)
     return out
 
 

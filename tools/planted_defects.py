@@ -104,18 +104,18 @@ DEFECTS = [
         (SAMPLER, "head = sorted_p[: keep + 1]", "head = sorted_p[:keep]"),
     ]),
     ("a reference row fed its neighbour's argmax", [
-        (PIPELINE, "[table[r[-1]] for _, _, r in rows]", "[table[r[-1]] for _, _, r in rows[1:] + rows[:1]]"),
+        (PIPELINE, "[table[ref[-1]] for _, _, ref in rows]", "[table[ref[-1]] for _, _, ref in rows[1:] + rows[:1]]"),
     ]),
     ("a Prefill snapshot taken one position late", [
         (PIPELINE, "        for (prompt, state, ref), row in zip(rows, logits):\n"
                    "            out[prompt] = ref, Prefill(model, prompt, state.fork(n), row.copy())\n", ""),
-        (PIPELINE, "[table[r[-1]] for _, _, r in rows], held)\n",
-         "[table[r[-1]] for _, _, r in rows], held)\n"
+        (PIPELINE, "[table[ref[-1]] for _, _, ref in rows], held)\n",
+         "[table[ref[-1]] for _, _, ref in rows], held)\n"
          "            for (prompt, state, ref), row in zip(rows, logits if step == 0 else ()):\n"
          "                out[prompt] = ref, Prefill(model, prompt, state.fork(n), row.copy())\n"),
     ]),
     ("a reference not ended at its stop token", [
-        (PIPELINE, "if row[2][-1] not in stop_tokens and step < budget - 1]", "if step < budget - 1]"),
+        (PIPELINE, "if ref[-1] not in stop_tokens and step < budget - 1]", "if step < budget - 1]"),
     ]),
 ]
 
