@@ -341,7 +341,7 @@ def _decode(model: Model, cfg: GenConfig, rows: list[_Row]) -> None:
             row.dist, row.entropy = dist, entropy
 
 
-def _forward_rows(model: Model, states: list, x: list, held: tuple = ()) -> tuple:
+def _forward_rows(model: Model, states: list, x: list, held: tuple) -> tuple:
     """Feed x[i] to states[i], all at one position: one `kernels.decode_rows`
     into K and V buffers whose slot i is states[i]'s cache (the state views
     it), or `model.forward_step` for a lone row.  Returns the (B, vocab)
