@@ -1,6 +1,7 @@
 """Grid harness, greedy-recovery scoring, best-of-N, and throughput."""
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -178,6 +179,27 @@ class TestRunGrid:
         assert len(table.rows) == 2 * 2 * 1 * 2 * 2
         assert [r.mode for r in table.rows[:8]] == ["standard"] * 8
         assert table.rows[0].beta == 0.5 and table.rows[0].seed == 0 and table.rows[1].seed == 1
+
+    # sha256 of this grid's CSV, recorded before `generate` started from a
+    # Prefill; 704 of its 972 generations end on a stop token
+    PINNED_GRID_SHA256 = "15a4f37bb30d1a41154fc4d780e9d70b326a46253aa44a0bd30897d043f2405c"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_csv_bytes_are_pinned(self, bench_model, tmp_path, jobs):
+        # three modes; a repeated prompt, a lone length and two length groups;
+        # stop tokens; T from near-greedy to 1 and top_p up to 1.0
+        prompts = [tuple(p) for p in (b"ab", b"the", b"q", b"ab", b"xyz", b"hi", b"no")]
+        spec = GridSpec(
+            task=TaskSpec(model=bench_model, prompts=prompts, budget=6, stop_tokens=frozenset({26, 167, 197, 247})),
+            betas=(0.5, 2.0),
+            top_ps=(0.6, 0.95, 1.0),
+            temperatures=(0.05, 0.6, 1.0),
+            modes=("standard", "direct_mixture", "moi"),
+            seeds=(0, 1, 2),
+        )
+        table = run_grid(spec, out_path=tmp_path / "grid.csv", jobs=jobs)
+        assert len(table.rows) == 162 and not table.errors
+        assert hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest() == self.PINNED_GRID_SHA256
 
     def test_csv_bit_identical_across_runs(self, small_model, tmp_path):
         spec = GridSpec(
