@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .mix_core import MODES, MixConfig, token_id
-from .pipeline import GenConfig, Prefill, _greedy_rows, check_prompt, generate, prefetch, start_state
+from .pipeline import GenConfig, _greedy_rows, generate, prefetch
 from .sampler import SamplerConfig, check_seed
 from .toy_lm import Model, load_weights
 
@@ -145,26 +145,11 @@ def trial_seed(base_seed: int, config_index: int, replicate_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def greedy_decode(
-    model: Model, prompt, budget: int, stop_tokens=frozenset(), prefix: Prefill | None = None
-) -> list[int]:
-    """Argmax decode with plain one-hot feedback; the reference sequence.
-
-    It starts like `generate`, through `pipeline.start_state`; with
-    `prefix` (see `pipeline.prefill`) the prompt is not run again."""
-    from .embedding import lookup
-
-    table = model.embedding_table
-    stop_tokens = frozenset(map(token_id, stop_tokens))
-    state, logits = start_state(model, check_prompt(model, prompt), budget, prefix)
-    tokens: list[int] = []
-    for step in range(budget):
-        token = int(np.argmax(logits))
-        tokens.append(token)
-        if token in stop_tokens or step == budget - 1:
-            break
-        logits = model.forward_step(state, lookup(table, token))
-    return tokens
+def greedy_decode(model: Model, prompt, budget: int, stop_tokens=frozenset()) -> list[int]:
+    """Argmax decode with plain one-hot feedback; the reference sequence:
+    `pipeline._greedy_rows` of one prompt, with its checks."""
+    [(reference, _)] = _greedy_rows(model, [prompt], budget, frozenset(map(token_id, stop_tokens))).values()
+    return reference
 
 
 def greedy_recovery_score(model: Model, cfg: GenConfig, prompts, budget: int, _ref_cache=None) -> float:

@@ -7,20 +7,20 @@ verbatim as weights (direct_mixture), or the posterior-mean mixture
 (moi).  The emitted token sequence is always the sampled discrete tokens;
 only the fed-back representation changes.
 
-Every decode sizes its state by one rule, checked before any forward
-(prompt + new tokens <= context); `start_state` applies it and runs the
-prompt for `generate`, `prefill` and `experiments.greedy_decode`.
-`prefill` runs a prompt once, and `generate(..., prefix=...)` starts
-generations from copies of its state and from its first distribution,
-truncated once per (T, top_p).  One loop decodes: `generate` runs it on
-one row, and `prefetch` on the Prefills of one prompt length at once,
-leaving each the result that the `generate` call after it takes.  One
-function runs a batched forward (`_forward_rows`, byte-identical to one
-row at a time) into K and V buffers whose slots are the rows' caches; a
-grid trial's missed greedy references and their Prefills run as such
-rows too (`_greedy_rows`).  The sampler runs where the forward returns:
-in its 1-D form on a lone row, in one (B, V) pass on a batched step.
-Decodes that share a config (a grid trial's) draw its uniforms once.
+Every request starts from a Prefill: `generate` forks its state to the
+request's size (prompt + new tokens <= context, checked before any
+forward) and starts from its first distribution, truncated once per
+(T, top_p); without a prefix it prefills the prompt first.  One function
+runs prompts (`_greedy_rows`; `prefill` is it for one token): those of
+one length are lockstep rows through one batched forward (`_forward_rows`,
+byte-identical to one row at a time) into K and V buffers whose slots are
+the rows' caches, then greedy-decoded.  One set-up (`_decode_prefills`)
+forks Prefills into the rows of the one decode loop (`_decode`):
+`generate` decodes one row, and `prefetch` the Prefills of one prompt
+length at once, leaving each the result that the `generate` after it
+takes.  The sampler runs where the forward returns: 1-D on a lone row,
+one (B, V) pass on a batched step.  Decodes that share a config (a grid
+trial's) draw its uniforms once.
 
 Every step is recorded (token, entropy, distribution, weights, effective
 mode) as one JSONL line, and `replay_verify` recomputes the weight math
@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, mix_core
+# lookup has no caller here, but the traced benchmark run wraps pipeline.lookup
 from .embedding import lookup, mix
 from .jsonio import INT, NUMBER, dump, has_type, load
 from .mix_core import MixConfig
@@ -137,10 +138,10 @@ class ReplayReport:
 
 @dataclass(frozen=True, eq=False)
 class Prefill:
-    """A prompt already run through `model`: the decoder state after its
-    last position (sized to the prompt) and the logits for the first
-    generated token.  Generations fork `state` and never write to it, so
-    one Prefill can start any number of them.
+    """A prompt already run through `model`, where every request starts:
+    the decoder state after its last position (sized to the prompt) and
+    the logits for the first generated token.  Generations fork `state`
+    and never write to it, so one Prefill can start any number of them.
 
     It keeps the truncated distribution and entropy of `logits` for each
     (T, top_p) used, and at most one result `prefetch` decoded for the next
@@ -180,31 +181,15 @@ def check_prompt(model: Model, prompt) -> list[int]:
 
 def prefill(model: Model, prompt) -> Prefill:
     """Run `prompt` through `model` once, for generations to start from:
-    the start of a request for one token."""
-    prompt = check_prompt(model, prompt)
-    state, logits = start_state(model, prompt, 1)
-    return Prefill(model=model, prompt=tuple(prompt), state=state, logits=logits)
+    `_greedy_rows` of one prompt and one token."""
+    [(_, start)] = _greedy_rows(model, [prompt], 1, frozenset()).values()
+    return start
 
 
-def start_state(model: Model, prompt: list[int], new_tokens: int, prefix: Prefill | None = None):
-    """The decoder state after the checked `prompt`, sized for `new_tokens`
-    generated tokens (the last is never fed, so it gets no position), and
-    the logits for the first.  ValueError before any forward if new_tokens
-    < 1 or the request exceeds the model context.  Without `prefix` the
-    prompt is run through the model; with it, `prefix` must come from the
-    same model object and the same prompt, and its state is forked."""
-    capacity = _capacity(model, prompt, new_tokens)
-    if prefix is None:
-        state = model.new_state(capacity)
-        for token in prompt:
-            logits = model.forward_step(state, lookup(model.embedding_table, token))
-        return state, logits
-    _check_prefix(model, prompt, prefix)
-    return prefix.state.fork(capacity), prefix.logits
-
-
-def _capacity(model: Model, prompt: list[int], new_tokens: int) -> int:
-    """The positions a request needs (`start_state`'s rule), checked."""
+def _capacity(model: Model, prompt, new_tokens: int) -> int:
+    """The positions a request for `new_tokens` after `prompt` needs: the
+    last token is never fed, so it gets no position.  ValueError if
+    new_tokens < 1 or the request exceeds the model context."""
     context = model.config.context
     if isinstance(new_tokens, bool):
         raise TypeError("a decode's token count must be an integer, not a bool")
@@ -232,28 +217,27 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     token is emitted; a stop token is recorded, in mode "standard" with
     one-hot weights, but never fed back.
 
-    `prefix`, from `prefill(model, prompt)`, skips running the prompt: the
-    loop starts from a fork of its state and its first distribution, with
-    the same result as without it.  A request beyond the model context
-    (see `start_state`), or a prefix made by another model object or for
-    another prompt, raises ValueError.  A result `prefetch` left with the
-    prefix for a config equal to `cfg` is returned, once, with no decode;
-    its times are its batch's, split evenly over the rows.  Otherwise
-    `prefill_seconds` covers the allocation and the prompt run, or the fork.
+    The loop starts from a fork of a Prefill's state and its first
+    distribution: `prefix`, from `prefill(model, prompt)`, or else the
+    prompt's own, made once the request is checked, with the same result.
+    A request beyond the model context (`_capacity`), or a prefix made by
+    another model object or for another prompt, raises ValueError before
+    any forward.  A result `prefetch` left with the prefix for a config
+    equal to `cfg` is returned, once, with no decode; its times are its
+    batch's, split evenly over the rows.  Otherwise `prefill_seconds`
+    covers the prefill, if any, and the fork.
     """
     prompt = check_prompt(model, prompt)
-    if prefix is not None:
+    t0 = time.perf_counter()
+    if prefix is None:
+        _capacity(model, prompt, cfg.max_tokens)
+        prefix = prefill(model, prompt)
+    else:
         _check_prefix(model, prompt, prefix)
         result = prefix._pending.pop(cfg, None)
         if result is not None:
             return result
-    t0 = time.perf_counter()
-    state, logits = start_state(model, prompt, cfg.max_tokens, prefix)
-    t1 = time.perf_counter()
-    first = _truncated(logits, cfg.sampler, model.config.vocab) if prefix is None else prefix._first_token(cfg.sampler)
-    records: list[StepRecord] = []
-    _decode(model, cfg, [_Row(state, *first, records)])
-    return GenerationResult([rec.token for rec in records], records, t1 - t0, time.perf_counter() - t1, len(prompt))
+    return _decode_prefills([prefix], cfg, t0)[0]
 
 
 # rows per `prefetch` call to `_decode`: bounds the rows of its K and V buffers
@@ -266,9 +250,8 @@ def prefetch(prefixes, cfg: GenConfig) -> None:
     that call to take; it replaces any result p held.  Prefills of one
     model and prompt length are the rows of one decode loop, split evenly
     into calls of at most FILL_ROWS, each with one K and one V buffer for its
-    rows' caches; a group of one is left to `generate`.  A result's
-    `prefill_seconds` and `decode_seconds` are its call's times divided by
-    the call's rows.  The Prefills' states are only read."""
+    rows' caches; a group of one is left to `generate`.  The Prefills'
+    states are only read."""
     groups: dict = {}
     for p in dict.fromkeys(prefixes):
         p._pending.clear()
@@ -277,15 +260,24 @@ def prefetch(prefixes, cfg: GenConfig) -> None:
         calls = -(-len(group) // FILL_ROWS) if len(group) > 1 else 0
         for i in range(calls):
             part = group[i::calls]
-            t0 = time.perf_counter()
-            states = [start_state(p.model, list(p.prompt), cfg.max_tokens, p)[0] for p in part]
-            t1 = time.perf_counter()
-            rows = [_Row(state, *p._first_token(cfg.sampler), []) for state, p in zip(states, part)]
-            _decode(part[0].model, cfg, rows)
-            seconds = (t1 - t0) / len(part), (time.perf_counter() - t1) / len(part)
-            for p, row in zip(part, rows):
-                tokens = [rec.token for rec in row.records]
-                p._pending[cfg] = GenerationResult(tokens, row.records, *seconds, len(p.prompt))
+            for p, result in zip(part, _decode_prefills(part, cfg, time.perf_counter())):
+                p._pending[cfg] = result
+
+
+def _decode_prefills(prefixes: list[Prefill], cfg: GenConfig, t0: float) -> list[GenerationResult]:
+    """The one decode set-up: fork each Prefill (of one model and prompt
+    length) to the request's size, start it from its first distribution and
+    run the forks as the rows of one `_decode` loop.  A result's
+    `prefill_seconds` (from `t0` to the forks' end) and `decode_seconds` are
+    the call's times divided by its rows."""
+    model = prefixes[0].model
+    states = [p.state.fork(_capacity(model, p.prompt, cfg.max_tokens)) for p in prefixes]
+    t1 = time.perf_counter()
+    rows = [_Row(state, *p._first_token(cfg.sampler), []) for state, p in zip(states, prefixes)]
+    _decode(model, cfg, rows)
+    seconds = (t1 - t0) / len(rows), (time.perf_counter() - t1) / len(rows)
+    return [GenerationResult([rec.token for rec in row.records], row.records, *seconds, len(p.prompt))
+            for p, row in zip(prefixes, rows)]
 
 
 def _truncated(logits: np.ndarray, sampler: SamplerConfig, vocab: int) -> tuple[TruncatedDistribution, float]:
@@ -366,12 +358,14 @@ def _forward_rows(model: Model, states: list, x: list, held: tuple) -> tuple:
 
 
 def _greedy_rows(model: Model, prompts, budget: int, stop_tokens: frozenset) -> dict:
-    """{prompt: (reference, Prefill)} for the distinct `prompts`, byte for byte
-    `prefill` and then `experiments.greedy_decode` from it.  Each prompt is
-    checked (`check_prompt`, `start_state`'s rule) before any forward.  The
-    prompts of one length are lockstep rows, one `_forward_rows` a position:
-    the prompt, a snapshot (the state forked to the prompt's length, a copy of
-    the logits row), then argmax steps to a stop token or `budget`."""
+    """{prompt: (reference, Prefill)} for the distinct `prompts`: the one
+    prompt run and the one greedy loop.  `prefill` is it for one prompt and
+    one token, `experiments.greedy_decode` for one prompt.  Each prompt is
+    checked (`check_prompt`, `_capacity` for `budget` tokens) before any
+    forward.  The prompts of one length are lockstep rows, one
+    `_forward_rows` a position: the prompt, a Prefill snapshot (the state
+    forked to the prompt's length, a copy of the logits row), then argmax
+    steps to a stop token or `budget`."""
     groups: dict = {}
     for prompt in prompts:
         prompt = check_prompt(model, prompt)

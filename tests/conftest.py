@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moi.embedding import EmbeddingTable
+from moi.embedding import EmbeddingTable, lookup
 from moi.toy_lm import Model, ModelConfig, init_random
 
 
@@ -23,19 +23,44 @@ def small_model() -> Model:
     return init_random(ModelConfig(vocab=48, dim=32, heads=4, layers=2, context=96, init_seed=5))
 
 
+def plain_prompt_run(model, prompt, capacity: int):
+    """The prompt fed one token at a time through `forward_step` into a new
+    state of `capacity` positions: the state and the last logits."""
+    state = model.new_state(capacity)
+    for token in prompt:
+        logits = model.forward_step(state, lookup(model.embedding_table, token))
+    return state, logits
+
+
+def plain_greedy(model, prompt, budget: int, stop_tokens=frozenset()) -> list[int]:
+    """The greedy reference written out, apart from the engine's batched
+    rows: a state of L + budget - 1 positions, the prompt run, then argmax
+    to a stop token or `budget` tokens."""
+    state, logits = plain_prompt_run(model, prompt, len(prompt) + budget - 1)
+    tokens = []
+    for step in range(budget):
+        tokens.append(int(np.argmax(logits)))
+        if tokens[-1] in stop_tokens or step == budget - 1:
+            return tokens
+        logits = model.forward_step(state, lookup(model.embedding_table, tokens[-1]))
+
+
 class OneHotStubModel:
     """Toy decoder stand-in whose post-temperature distribution is an exact
     one-hot at a position-determined token, regardless of the input fed.
 
     Satisfies the duck type `generate` needs: config, embedding_table,
-    new_state, forward_step.
+    new_state, forward_step, and a state's fork.
     """
 
     _PEAK = 1e9
 
     class _State:
-        def __init__(self):
-            self.length = 0
+        def __init__(self, length=0):
+            self.length = length
+
+        def fork(self, capacity):
+            return OneHotStubModel._State(self.length)
 
     class _Config:
         def __init__(self, vocab, dim, context):

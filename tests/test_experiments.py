@@ -31,7 +31,7 @@ from moi.experiments import (
     trial_seed,
 )
 from moi.mix_core import MixConfig
-from moi.pipeline import GenConfig, prefill
+from moi.pipeline import GenConfig
 from moi.sampler import SamplerConfig
 from moi.toy_lm import save_weights
 
@@ -103,14 +103,6 @@ class TestGreedyRecovery:
         assert greedy_recovery_score(small_model, cfg, prompts, 5) == greedy_recovery_score(
             small_model, cfg, prompts, 5
         )
-
-    def test_greedy_decode_from_prefix_matches(self, small_model):
-        start = prefill(small_model, (1, 2, 3))
-        for budget in (1, 5, 20):
-            want = greedy_decode(small_model, (1, 2, 3), budget)
-            assert greedy_decode(small_model, (1, 2, 3), budget, prefix=start) == want
-        with pytest.raises(ValueError, match="prompt"):
-            greedy_decode(small_model, (1, 2), 5, prefix=start)
 
     def test_shared_cache_gives_the_uncached_scores(self, small_model):
         prompts = [(1, 2), (3, 4), (5,), (1, 2)]

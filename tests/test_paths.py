@@ -14,8 +14,10 @@ grid trial whose generations `prefetch` decoded in batches must score,
 write and record exactly what plain `generate` calls do.  A prefetched
 result goes only to a `generate` with an equal config, and only once, and
 a grid leaves none behind.  The drawn invariants also cover a request-sized
-state against a full-context one, `greedy_decode` with and without a
-prefix, and the moi weight bounds.
+state against a full-context one, `greedy_decode` against a plain argmax
+loop, and the moi weight bounds.  The greedy references and Prefills the
+engine's batched rows make are checked against `conftest.plain_greedy` and
+`conftest.plain_prompt_run`, which feed one token at a time.
 """
 
 import collections
@@ -40,12 +42,12 @@ from moi.pipeline import (
     prefill,
     read_trace,
     replay_verify,
-    start_state,
     write_trace,
 )
 from moi.sampler import SamplerConfig
 from moi.toy_lm import Model, ModelConfig, init_random
 
+from conftest import plain_greedy, plain_prompt_run
 from test_pipeline import records_sha256
 
 MODES = ("standard", "direct_mixture", "moi")
@@ -229,12 +231,21 @@ class TestDrawnInvariants:
             row = lookup(model.embedding_table, token)
             assert model.forward_step(sized, row).tobytes() == model.forward_step(full, row).tobytes()
         stops = cfgs[0].stop_tokens
-        start = prefill(model, prompt)
-        assert greedy_decode(model, prompt, budget, stops, prefix=start) == greedy_decode(model, prompt, budget, stops)
-        # the last token is never fed, so a request holds exactly L + n - 1 positions
+        assert greedy_decode(model, prompt, budget, stops) == plain_greedy(model, prompt, budget, stops)
+        # the last token is never fed, so a request's fork holds exactly L + n - 1 positions
+        start, forks = prefill(model, prompt), []
         assert start.state.capacity == len(prompt)
-        for prefix in (None, start):
-            assert start_state(model, prompt, budget, prefix)[0].capacity == len(prompt) + budget - 1
+        real_decode = pipeline._decode
+
+        def spy(model, cfg, rows):
+            forks.extend(row.state.capacity for row in rows)
+            return real_decode(model, cfg, rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_decode", spy)
+            for prefix in (None, start):
+                generate(model, prompt, cfgs[0], prefix=prefix)
+        assert forks == [len(prompt) + budget - 1] * 2
 
     @settings(deadline=None, max_examples=150)
     @given(case=drawn_requests())
@@ -307,7 +318,7 @@ class TestDecodeRows:
 
 class TestGreedyRows:
     """A trial's missed references run as lockstep rows (`pipeline._greedy_rows`):
-    each equals `prefill` and then `greedy_decode` from it, byte for byte."""
+    each equals a plain prompt run and argmax loop, byte for byte."""
 
     # a group of one, three prompts of two tokens, two of three
     PROMPTS = [(5,), (1, 2), (3, 4), (6, 7), (8, 9, 10), (11, 12, 13)]
@@ -318,7 +329,7 @@ class TestGreedyRows:
         "budget, stops, lengths",
         [(1, (), [1] * 6), (1, (27,), [1] * 6), (8, (), [8] * 6), (8, (27, 13, 40), [2, 8, 2, 1, 8, 3])],
     )
-    def test_rows_equal_prefill_and_greedy_decode(self, small_model, monkeypatch, budget, stops, lengths):
+    def test_rows_equal_a_plain_prompt_run_and_argmax_loop(self, small_model, monkeypatch, budget, stops, lengths):
         stops, batched, sizes = frozenset(stops), [], []
         real_rows = kernels.decode_rows
 
@@ -334,11 +345,11 @@ class TestGreedyRows:
         # a lone row, the group of one's or a group's last, runs decode_step
         assert sizes and min(sizes) >= 2
         for prompt, (reference, start) in out.items():
-            fresh = prefill(small_model, prompt)
-            assert reference == greedy_decode(small_model, prompt, budget, stops, prefix=fresh)
+            state, logits = plain_prompt_run(small_model, prompt, len(prompt))
+            assert reference == plain_greedy(small_model, prompt, budget, stops)
             assert start.prompt == prompt and start.state.length == start.state.capacity == len(prompt)
-            for a, b in ((start.logits, fresh.logits), (start.state.k_cache, fresh.state.k_cache),
-                         (start.state.v_cache, fresh.state.v_cache)):
+            for a, b in ((start.logits, logits), (start.state.k_cache, state.k_cache),
+                         (start.state.v_cache, state.v_cache)):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         arrays = [a for _, start in out.values() for a in (start.logits, start.state.k_cache, start.state.v_cache)]
         for i, a in enumerate(arrays):
@@ -368,7 +379,7 @@ def plain_score(model: Model, cfg: GenConfig, prompts, budget: int) -> tuple[flo
     """A trial scored by plain `generate` calls, with no prefix and no fill:
     the score and each prompt's records_sha256."""
     results = [generate(model, prompt, cfg) for prompt in prompts]
-    refs = [greedy_decode(model, prompt, budget, cfg.stop_tokens) for prompt in prompts]
+    refs = [plain_greedy(model, prompt, budget, cfg.stop_tokens) for prompt in prompts]
     score = sum(r.tokens == ref for r, ref in zip(results, refs)) / len(prompts)
     return score, [records_sha256(r.records) for r in results]
 
@@ -406,12 +417,12 @@ class TestFilledTrials:
                         assert steps == 0, prompt
                 assert not any(start._pending for _, start in cache.values())
         for (prompt, _, stops), (reference, start) in cache.items():
-            assert reference == greedy_decode(model, prompt, budget, stops)
-            fresh = prefill(model, prompt)
-            assert start.logits.tobytes() == fresh.logits.tobytes()
-            assert start.state.length == fresh.state.length
-            assert start.state.k_cache.tobytes() == fresh.state.k_cache.tobytes()
-            assert start.state.v_cache.tobytes() == fresh.state.v_cache.tobytes()
+            assert reference == plain_greedy(model, prompt, budget, stops)
+            state, logits = plain_prompt_run(model, prompt, len(prompt))
+            assert start.logits.tobytes() == logits.tobytes()
+            assert start.state.length == state.length
+            assert start.state.k_cache.tobytes() == state.k_cache.tobytes()
+            assert start.state.v_cache.tobytes() == state.v_cache.tobytes()
 
     @settings(deadline=None, max_examples=6)
     @given(case=drawn_trials())
@@ -486,12 +497,11 @@ class TestFilledTrials:
         assert [len(r.tokens) for r in fresh] == [2, 2, 11, 7]
         starts = [prefill(small_model, p) for p in prompts]
         states, rows = [], []
-        real_start, real_rows, real_step = pipeline.start_state, kernels.decode_rows, kernels.decode_step
+        real_decode, real_rows, real_step = pipeline._decode, kernels.decode_rows, kernels.decode_step
 
-        def start_spy(*args):
-            state, logits = real_start(*args)
-            states.append(state)
-            return state, logits
+        def decode_spy(model, cfg, decoded):
+            states.extend(row.state for row in decoded)
+            return real_decode(model, cfg, decoded)
 
         def views(rows_in_call, k, v):
             # the live rows' states view the caches the forward writes; a
@@ -505,7 +515,7 @@ class TestFilledTrials:
                     assert not (np.shares_memory(a.k_cache, b.k_cache) or np.shares_memory(a.v_cache, b.v_cache))
             rows.append(rows_in_call)
 
-        monkeypatch.setattr(pipeline, "start_state", start_spy)
+        monkeypatch.setattr(pipeline, "_decode", decode_spy)
         monkeypatch.setattr(kernels, "decode_rows", lambda *a: views(len(a[0]), *a[3:]) or real_rows(*a))
         monkeypatch.setattr(kernels, "decode_step", lambda *a: views(1, *a[3:]) or real_step(*a))
         prefetch(starts, cfg)

@@ -385,10 +385,12 @@ class TestPrefix:
         with pytest.raises(ValueError, match="another model"):
             generate(bench_model, self.PROMPT, gen_cfg(), prefix=start)
 
-    def test_state_sized_to_request(self, bench_model):
+    def test_state_sized_to_request(self, bench_model, monkeypatch):
         start = prefill(bench_model, self.PROMPT)
         assert start.state.capacity == len(self.PROMPT)
-        sizes = []
+        sizes, forks = [], []
+        real_decode = pipeline._decode
+        monkeypatch.setattr(pipeline, "_decode", lambda *a: forks.extend(r.state.capacity for r in a[2]) or real_decode(*a))
         real_new_state = type(bench_model).new_state
 
         class Spy(type(bench_model)):
@@ -399,7 +401,9 @@ class TestPrefix:
 
         spy = Spy(bench_model.config, bench_model.params)
         generate(spy, self.PROMPT, gen_cfg(max_tokens=7))
-        assert sizes == [len(self.PROMPT) + 7 - 1]
+        # the prefill holds the prompt; the decode runs on its fork, which
+        # holds L + n - 1 positions, as the last token is never fed
+        assert sizes == [len(self.PROMPT)] and forks == [len(self.PROMPT) + 7 - 1]
 
 
 def records_sha256(records) -> str:

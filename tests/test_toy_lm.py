@@ -6,6 +6,7 @@ incremental cache) and against fixture values frozen from that reference
 at first build.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -231,6 +232,29 @@ class TestWeightFile:
 WEIGHT_FUZZ_VALUES = (None, True, 0, -1, 7, 2**70, 1.5, "3", "f32", "tok_emb", [], [1], [4, 4], {"a": 1})
 
 
+def mutate(obj: dict, key, kind: str, value=None) -> None:
+    """One header mutation: `key` dropped, its value swapped for a copy of
+    `value` or nested.  The copy keeps a later mutation from editing
+    WEIGHT_FUZZ_VALUES, and so every example after it."""
+    if kind == "drop":
+        del obj[key]
+    elif kind == "swap":
+        obj[key] = copy.deepcopy(value)
+    else:
+        obj[key] = [obj[key]]
+
+
+def assert_format_error_or_same_weights(model, header: dict, payload: bytes, path) -> None:
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    try:
+        loaded = load_weights(path)
+    except WeightFormatError:
+        return
+    # no silent load: whatever loads holds the saved tensors
+    for name in TENSOR_ORDER:
+        assert loaded.params[name].tobytes() == model.params[name].tobytes()
+
+
 @pytest.fixture(scope="session")
 def tiny_weight_file(tmp_path_factory):
     """A tiny model, the header line of its TLM/1 file and the bytes after it."""
@@ -258,21 +282,18 @@ class TestWeightFileFuzz:
                 continue
             key = data.draw(st.sampled_from(sorted(obj)))
             kind = data.draw(st.sampled_from(("drop", "swap", "nest")))
-            if kind == "drop":
-                del obj[key]
-            elif kind == "swap":
-                obj[key] = data.draw(st.sampled_from(WEIGHT_FUZZ_VALUES))
-            else:
-                obj[key] = [obj[key]]
-        path = tmp_path_factory.getbasetemp() / "fuzz.tlm"
-        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-        try:
-            loaded = load_weights(path)
-        except WeightFormatError:
-            return
-        # no silent load: whatever loads holds the saved tensors
-        for name in TENSOR_ORDER:
-            assert loaded.params[name].tobytes() == model.params[name].tobytes()
+            mutate(obj, key, kind, data.draw(st.sampled_from(WEIGHT_FUZZ_VALUES)) if kind == "swap" else None)
+        assert_format_error_or_same_weights(model, header, payload, tmp_path_factory.getbasetemp() / "fuzz.tlm")
+
+    def test_a_dict_swapped_into_itself_is_a_copy(self, tiny_weight_file, tmp_path):
+        # config swapped for {"a": 1}, then its "a" for the dict: without the
+        # copy the dict held itself, and json.dumps raised before load_weights
+        model, header_line, payload = tiny_weight_file
+        header = json.loads(header_line)
+        mutate(header, "config", "swap", WEIGHT_FUZZ_VALUES[-1])
+        mutate(header["config"], "a", "swap", WEIGHT_FUZZ_VALUES[-1])
+        assert header["config"] == {"a": {"a": 1}} and WEIGHT_FUZZ_VALUES[-1] == {"a": 1}
+        assert_format_error_or_same_weights(model, header, payload, tmp_path / "fuzz.tlm")
 
 
 class TestForwardStep:

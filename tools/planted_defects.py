@@ -9,16 +9,18 @@ into a directory of its own under the temporary directory ($TMPDIR),
 checks that every `old` text occurs exactly once, applies the edits and
 runs
 
-    PYTHONPATH=src python -m pytest -q -rfE -p no:cacheprovider tests/
+    PYTHONPATH=src python -m pytest -vv -rfE -p no:cacheprovider tests/
 
-there, one copy after another.  The copy has no `.hypothesis/` directory,
-so every run starts with an empty hypothesis database.  A first run of the
-unedited copy must exit 0, so that each count below it is the defect's own;
-a defect's run must exit 0 or 1 (tests ran, some failed).  The script
-prints the failing-test count and ids of every defect, and exits 1 when an
-`old` text is missing or repeated, when the unedited copy does not pass,
-when pytest exits with any other status or outlasts its timeout, or when a
-defect fails no test.
+there, one copy after another (`-vv` keeps each failure's message whole
+in the summary).  The copy has no `.hypothesis/` directory, so every run
+starts with an empty hypothesis database.  A first run of the unedited
+copy must exit 0, so that each count below it is the defect's own; a
+defect's run must exit 0 or 1 (tests ran, some failed).  The script
+prints, for the unedited copy and every defect, the failing-test count
+and pytest's short summary lines (`FAILED id - message`), and exits 1
+when an `old` text is missing or repeated, when the unedited copy does not
+pass, when pytest exits with any other status or outlasts its timeout, or
+when a defect fails no test.
 
 A change that deletes the structure a defect targets drops the entry and
 says so; a change that adds a structure adds one (ROADMAP, "Planted
@@ -85,8 +87,8 @@ DEFECTS = [
         (PIPELINE, "return TruncatedDistribution(ids, probs.copy()), entropy",
          "return TruncatedDistribution(ids, probs), entropy"),
     ]),
-    ("a prefetch row given its neighbour's records", [
-        (PIPELINE, "for p, row in zip(part, rows):", "for p, row in zip(part, rows[1:] + rows[:1]):"),
+    ("a decode row given its neighbour's records by the shared set-up", [
+        (PIPELINE, "for p, row in zip(prefixes, rows)]", "for p, row in zip(prefixes, rows[1:] + rows[:1])]"),
     ]),
     ("the row form's stable re-sort of a tied row skipped", [
         (SAMPLER, 'order[i] = np.negative(e[i]).argsort(kind="stable")', "order[i] = order[i]"),
@@ -135,8 +137,9 @@ TIMEOUT_S = 1800  # one full run of tests/ takes a few minutes
 
 
 def run(repo: Path, workdir: Path, index: int, edits) -> tuple[int, int, list[str], str]:
-    """pytest's exit status and the failing-test count and ids of `tests/`
-    in a copy of HEAD with `edits` planted; the copy is removed afterwards."""
+    """pytest's exit status, the failing-test count, the short summary's
+    lines and the last output line of `tests/` in a copy of HEAD with
+    `edits` planted; the copy is removed afterwards."""
     root = workdir / f"defect-{index:02d}"
     root.mkdir()
     try:
@@ -146,16 +149,19 @@ def run(repo: Path, workdir: Path, index: int, edits) -> tuple[int, int, list[st
         for rel, text in planted(texts, edits).items():
             (root / rel).write_text(text)
         env = dict(os.environ, PYTHONPATH="src")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "tests/"]
+        cmd = [sys.executable, "-m", "pytest", "-vv", "-rfE", "-p", "no:cacheprovider", "tests/"]
         try:
             proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return -1, 0, [], f"timed out after {TIMEOUT_S} s"
     finally:
         shutil.rmtree(root)
-    ids = [line.split()[1] for line in proc.stdout.splitlines() if re.match(r"(FAILED|ERROR) ", line)]
-    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else proc.stderr.strip()[-200:]
-    return proc.returncode, len(ids), ids, summary
+    lines = proc.stdout.strip().splitlines()
+    # a failure's message may run over several lines; the last line is the totals
+    start = next((i + 1 for i, line in enumerate(lines) if "short test summary info" in line), len(lines))
+    failures = lines[start:-1]
+    count = sum(bool(re.match(r"(FAILED|ERROR) ", line)) for line in failures)
+    return proc.returncode, count, failures, lines[-1] if lines else proc.stderr.strip()[-200:]
 
 
 def main() -> int:
@@ -174,11 +180,11 @@ def main() -> int:
     bad = False
     try:
         for index, (name, edits) in enumerate(defects):
-            status, count, ids, summary = run(repo, workdir, index, edits)
+            status, count, failures, summary = run(repo, workdir, index, edits)
             bad |= (status != 0) if not edits else (status not in (0, 1) or count == 0)
             print(f"{count:3d}  {name}  [exit {status}: {summary}]", flush=True)
-            for test in ids:
-                print(f"       {test}", flush=True)
+            for line in failures:
+                print(f"       {line}", flush=True)
     finally:
         workdir.rmdir()
     return 1 if bad else 0
