@@ -228,15 +228,15 @@ def generate(model: Model, prompt, cfg: GenConfig, prefix: Prefill | None = None
     covers the prefill, if any, and the fork.
     """
     prompt = check_prompt(model, prompt)
-    t0 = time.perf_counter()
-    if prefix is None:
-        _capacity(model, prompt, cfg.max_tokens)
-        prefix = prefill(model, prompt)
-    else:
+    if prefix is not None:
         _check_prefix(model, prompt, prefix)
         result = prefix._pending.pop(cfg, None)
         if result is not None:
             return result
+    t0 = time.perf_counter()
+    if prefix is None:
+        _capacity(model, prompt, cfg.max_tokens)
+        prefix = prefill(model, prompt)
     return _decode_prefills([prefix], cfg, t0)[0]
 
 

@@ -317,8 +317,9 @@ class TestDecodeRows:
 
 
 class TestGreedyRows:
-    """A trial's missed references run as lockstep rows (`pipeline._greedy_rows`):
-    each equals a plain prompt run and argmax loop, byte for byte."""
+    """A trial's missed references run as lockstep rows (`pipeline._greedy_rows`,
+    which `prefill` and `greedy_decode` are for one prompt): each equals a
+    plain prompt run and argmax loop, byte for byte."""
 
     # a group of one, three prompts of two tokens, two of three
     PROMPTS = [(5,), (1, 2), (3, 4), (6, 7), (8, 9, 10), (11, 12, 13)]
@@ -329,7 +330,7 @@ class TestGreedyRows:
         "budget, stops, lengths",
         [(1, (), [1] * 6), (1, (27,), [1] * 6), (8, (), [8] * 6), (8, (27, 13, 40), [2, 8, 2, 1, 8, 3])],
     )
-    def test_rows_equal_a_plain_prompt_run_and_argmax_loop(self, small_model, monkeypatch, budget, stops, lengths):
+    def test_rows_equal_prefill_and_greedy_decode(self, small_model, monkeypatch, budget, stops, lengths):
         stops, batched, sizes = frozenset(stops), [], []
         real_rows = kernels.decode_rows
 
